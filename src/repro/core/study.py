@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from functools import cache, cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -70,6 +70,23 @@ from repro.simulation.config import SimulationConfig
 from repro.simulation.feeds import DataFeeds
 
 __all__ = ["CovidImpactStudy"]
+
+
+def _memoized(method):
+    """Memoize a no-argument method in its instance's ``__dict__``.
+
+    Like ``cached_property``, the result is freed with the study;
+    ``functools.cache`` on a method would keep every study alive.
+    """
+    key = f"_memo_{method.__name__}"
+
+    @wraps(method)
+    def memoized(self):
+        if key not in self.__dict__:
+            self.__dict__[key] = method(self)
+        return self.__dict__[key]
+
+    return memoized
 
 
 class CovidImpactStudy:
@@ -212,7 +229,7 @@ class CovidImpactStudy:
         """Table 1: the geodemographic cluster catalog."""
         return oac_table()
 
-    @cache
+    @_memoized
     def fig2(self) -> HomeValidation:
         """Fig 2: inferred vs census LAD populations."""
         with telemetry.span("fig2"):
@@ -222,8 +239,9 @@ class CovidImpactStudy:
                 lambda: validate_against_census(self._feeds, self.homes),
             )
 
-    @cached_property
-    def _fig3(self) -> dict[str, MobilitySeries]:
+    @_memoized
+    def fig3(self) -> dict[str, MobilitySeries]:
+        """Fig 3: national daily gyration/entropy change."""
         with telemetry.span("fig3"):
             return self._artifact(
                 "fig3",
@@ -231,21 +249,17 @@ class CovidImpactStudy:
                 lambda: national_mobility(self.metrics, self._feeds),
             )
 
-    def fig3(self) -> dict[str, MobilitySeries]:
-        """Fig 3: national daily gyration/entropy change."""
-        return self._fig3
-
-    @cache
+    @_memoized
     def fig4(self) -> EntropyCasesResult:
         """Fig 4: entropy change vs cumulative confirmed cases."""
         with telemetry.span("fig4"):
             return self._artifact(
                 "fig4",
                 self._mobility_params(),
-                lambda: entropy_cases_correlation(self._fig3, self._feeds),
+                lambda: entropy_cases_correlation(self.fig3(), self._feeds),
             )
 
-    @cache
+    @_memoized
     def fig5(self) -> dict[str, MobilitySeries]:
         """Fig 5: regional mobility (five high-density regions)."""
         with telemetry.span("fig5"):
@@ -255,7 +269,7 @@ class CovidImpactStudy:
                 lambda: regional_mobility(self.metrics, self._feeds),
             )
 
-    @cache
+    @_memoized
     def fig6(self) -> dict[str, MobilitySeries]:
         """Fig 6: mobility per geodemographic cluster."""
         with telemetry.span("fig6"):
@@ -265,7 +279,7 @@ class CovidImpactStudy:
                 lambda: geodemographic_mobility(self.metrics, self._feeds),
             )
 
-    @cache
+    @_memoized
     def fig7(self) -> RelocationMatrix:
         """Fig 7: the Inner-London relocation mobility matrix."""
         with telemetry.span("fig7"):
@@ -275,24 +289,30 @@ class CovidImpactStudy:
                 lambda: relocation_matrix(self._feeds, self.homes),
             )
 
-    @cache
+    def _performance(
+        self, name: str, grouping: str, county: str | None = None
+    ) -> dict[str, WeeklySeries]:
+        """Every data-traffic KPI's weekly series for one grouping."""
+        with telemetry.span(name):
+            return self._artifact(
+                name,
+                {"percentile": 50.0},
+                lambda: {
+                    metric: performance_series(
+                        self._feeds, metric, grouping=grouping,
+                        restrict_county=county,
+                        labeled=self.labeled_kpis,
+                    )
+                    for metric in PERF_METRICS
+                },
+            )
+
+    @_memoized
     def fig8(self) -> dict[str, WeeklySeries]:
         """Fig 8: UK + regional series for every data-traffic KPI."""
-        with telemetry.span("fig8"):
-            return self._artifact(
-                "fig8", {"percentile": 50.0}, self._fig8_fresh
-            )
+        return self._performance("fig8", "county")
 
-    def _fig8_fresh(self) -> dict[str, WeeklySeries]:
-        return {
-            metric: performance_series(
-                self._feeds, metric, grouping="county",
-                labeled=self.labeled_kpis,
-            )
-            for metric in PERF_METRICS
-        }
-
-    @cache
+    @_memoized
     def fig9(self) -> dict[str, WeeklySeries]:
         """Fig 9: national voice-traffic series (QCI = 1)."""
         with telemetry.span("fig9"):
@@ -304,60 +324,22 @@ class CovidImpactStudy:
                 ),
             )
 
-    @cache
+    @_memoized
     def fig10(self) -> dict[str, WeeklySeries]:
         """Fig 10: network performance per geodemographic cluster."""
-        with telemetry.span("fig10"):
-            return self._artifact(
-                "fig10", {"percentile": 50.0}, self._fig10_fresh
-            )
+        return self._performance("fig10", "oac")
 
-    def _fig10_fresh(self) -> dict[str, WeeklySeries]:
-        return {
-            metric: performance_series(
-                self._feeds, metric, grouping="oac",
-                labeled=self.labeled_kpis,
-            )
-            for metric in PERF_METRICS
-        }
-
-    @cache
+    @_memoized
     def fig11(self) -> dict[str, WeeklySeries]:
         """Fig 11: Inner-London postal-district network performance."""
-        with telemetry.span("fig11"):
-            return self._artifact(
-                "fig11", {"percentile": 50.0}, self._fig11_fresh
-            )
+        return self._performance("fig11", "district_area", "Inner London")
 
-    def _fig11_fresh(self) -> dict[str, WeeklySeries]:
-        return {
-            metric: performance_series(
-                self._feeds, metric, grouping="district_area",
-                restrict_county="Inner London",
-                labeled=self.labeled_kpis,
-            )
-            for metric in PERF_METRICS
-        }
-
-    @cache
+    @_memoized
     def fig12(self) -> dict[str, WeeklySeries]:
         """Fig 12: London network performance per OAC cluster."""
-        with telemetry.span("fig12"):
-            return self._artifact(
-                "fig12", {"percentile": 50.0}, self._fig12_fresh
-            )
+        return self._performance("fig12", "oac", "Inner London")
 
-    def _fig12_fresh(self) -> dict[str, WeeklySeries]:
-        return {
-            metric: performance_series(
-                self._feeds, metric, grouping="oac",
-                restrict_county="Inner London",
-                labeled=self.labeled_kpis,
-            )
-            for metric in PERF_METRICS
-        }
-
-    @cache
+    @_memoized
     def rat_share(self) -> dict[str, float]:
         """§2.4: connected-time share per RAT."""
         with telemetry.span("rat_share"):
@@ -367,7 +349,7 @@ class CovidImpactStudy:
                 lambda: rat_time_share(self._feeds.rat_time),
             )
 
-    @cache
+    @_memoized
     def cluster_correlations(self) -> dict[str, float]:
         """§4.4: users-vs-DL-volume correlation per cluster."""
         with telemetry.span("cluster_correlations"):

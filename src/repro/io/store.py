@@ -1,12 +1,12 @@
 """Directory layout and (de)serialization for data feeds.
 
-Layout of a saved run (format version 2)::
+Layout of a saved run (format version 3)::
 
     <dir>/
       manifest.json        # provenance: sizes, window, versions (commit point)
       config.pkl           # exact SimulationConfig (nested dataclasses)
-      radio_kpis.csv       # daily per-cell KPI medians
-      rat_time.csv         # RAT connected-time feed
+      radio_kpis.npz       # daily per-cell KPI medians, one member per column
+      rat_time.npz         # RAT connected-time feed, one member per column
       feeds/               # shard-partitioned columnar mobility store
         shard-0000/
           rows.npy user_ids.npy anchor_sites.npy
@@ -19,11 +19,14 @@ The mobility feed — by far the largest payload — is partitioned by the
 engine's deterministic user sharding into one memory-mappable ``.npy``
 file per shard × column (:mod:`repro.io.columnar`), so
 ``load_feeds(..., lazy=True)`` can map a million-agent run without
-materializing it.  Format version 1 (a single ``mobility.npz``) is
-still read.  The world (geography, topology, subscriber base, agents)
-is *not* stored: it is a pure function of the configuration and is
-rebuilt on load, which keeps saved runs small and guarantees the
-reloaded bundle is exactly what the simulator produced.
+materializing it.  The two tables are uncompressed ``.npz`` archives
+read without unpickling, column order and dtypes intact.  Older runs
+still load: formats 1 and 2 store the tables as CSV text (chosen by
+file suffix on read), and format 1 keeps the mobility feed in a single
+``mobility.npz``.  The world (geography, topology, subscriber base,
+agents) is *not* stored: it is a pure function of the configuration
+and is rebuilt on load, which keeps saved runs small and guarantees
+the reloaded bundle is exactly what the simulator produced.
 
 Persistence is atomic: every file is written under a temporary name and
 ``os.replace``d into place, and ``manifest.json`` is written last as
@@ -60,7 +63,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import telemetry
-from repro.frames import read_csv, write_csv
+from repro.frames import Frame, read_csv
 from repro.geo.nspl import PostcodeLookup
 from repro.io import columnar
 from repro.io.columnar import (
@@ -76,8 +79,9 @@ __all__ = ["RunStoreError", "append_feeds", "save_feeds", "load_feeds"]
 
 _MANIFEST = "manifest.json"
 _CONFIG = "config.pkl"
-_KPIS = "radio_kpis.csv"
-_RAT = "rat_time.csv"
+_KPIS = "radio_kpis.npz"
+_RAT = "rat_time.npz"
+_TABLE_STEMS = ("radio_kpis", "rat_time")
 _MOBILITY = "mobility.npz"  # format version 1 only
 
 _MOBILITY_KEYS = ("user_ids", "anchor_sites", "daily_dwell", "night_dwell")
@@ -90,8 +94,8 @@ _MOBILITY_KEYS = ("user_ids", "anchor_sites", "daily_dwell", "night_dwell")
 #: artifact).
 _DIGESTED_FILES = (_KPIS, _RAT, _CONFIG)
 
-_FORMAT_VERSION = 2
-_SUPPORTED_VERSIONS = (1, 2)
+_FORMAT_VERSION = 3
+_SUPPORTED_VERSIONS = (1, 2, 3)
 
 
 def _table_name(base: str, num_days: int) -> str:
@@ -115,63 +119,66 @@ def _sha256_file(path: Path) -> str:
     return sha.hexdigest()
 
 
-def _replace_into_place(tmp: Path, final: Path) -> None:
+def _atomic_write(final: Path, write) -> None:
+    """``write(handle)`` into a temporary, then rename it to ``final``."""
+    tmp = final.with_name(final.name + ".tmp")
+    with open(tmp, "wb") as handle:
+        write(handle)
     os.replace(tmp, final)
 
 
-def _atomic_csv(frame, final: Path) -> None:
-    tmp = final.with_name(final.name + ".tmp")
-    write_csv(frame, tmp)
-    _replace_into_place(tmp, final)
+def _atomic_table(frame: Frame, final: Path) -> None:
+    """Write ``frame`` as an uncompressed ``.npz``, one member per column.
 
-
-def _atomic_pickle(obj, final: Path) -> None:
-    tmp = final.with_name(final.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        pickle.dump(obj, handle)
-    _replace_into_place(tmp, final)
+    ``np.savez`` stamps no clock into its members, so equal frames
+    always give equal bytes (the live-vs-batch identity relies on it).
+    """
+    _atomic_write(
+        final,
+        lambda handle: np.savez(handle, allow_pickle=False, **frame.to_dict()),
+    )
 
 
 def _atomic_text(text: str, final: Path) -> None:
-    tmp = final.with_name(final.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    _replace_into_place(tmp, final)
+    _atomic_write(final, lambda handle: handle.write(text.encode("utf-8")))
 
 
-def _commit_mobility(feeds: DataFeeds, path: Path) -> tuple[list[str], int]:
-    """Land the mobility partition on disk; return (rel paths, K).
+def _commit_mobility(
+    mobility, path: Path, num_shards: int, day_offset: int = 0
+) -> tuple[list[str], int]:
+    """Land days from ``day_offset`` on; return (rel paths, K).
 
-    A feed that is already streaming into ``path`` (the engine's
-    ``stream_dir`` mode leaves :attr:`ShardedMobilityFeed.pending_writer`
-    set) just commits its writer — nothing is rewritten.  Anything else
-    is streamed through a fresh :class:`ColumnarWriter` one day at a
-    time, partitioned exactly as the engine would (the run's configured
-    shard count over the stable user hash), so saving a feed produces
-    byte-identical files whether it was streamed or held in memory.
+    A feed that is already streaming into ``path`` at that offset (the
+    engine's ``stream_dir`` mode leaves
+    :attr:`ShardedMobilityFeed.pending_writer` set) just commits its
+    writer — nothing is rewritten.  Anything else is streamed through a
+    fresh :class:`ColumnarWriter` one day at a time, partitioned exactly
+    as the engine would (``num_shards`` over the stable user hash), so
+    the files are byte-identical whether the feed was streamed or held
+    in memory.
     """
-    mobility = feeds.mobility
     writer = getattr(mobility, "pending_writer", None)
-    if writer is not None and writer.run_directory == path:
+    if (
+        writer is not None
+        and writer.run_directory == path
+        and writer.day_offset == day_offset
+    ):
         relative = writer.commit()
         mobility.pending_writer = None
         return relative, writer.num_shards
 
-    from repro.simulation.sharding import parallelism_of, shard_user_indices
+    from repro.simulation.sharding import shard_user_indices
 
-    num_shards = parallelism_of(feeds.config).num_shards
-    indices = shard_user_indices(mobility.user_ids, num_shards)
     writer = ColumnarWriter(
         path,
-        list(indices),
+        list(shard_user_indices(mobility.user_ids, num_shards)),
         mobility.user_ids,
         mobility.anchor_sites,
         mobility.num_days,
+        day_offset=day_offset,
     )
     writer.write_all(mobility)
-    relative = writer.commit()
-    if writer is getattr(mobility, "pending_writer", None):
-        mobility.pending_writer = None
-    return relative, num_shards
+    return writer.commit(), num_shards
 
 
 def _commit_events(
@@ -240,19 +247,21 @@ def save_feeds(feeds: DataFeeds, directory: str | Path) -> Path:
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
 
+    from repro.simulation.sharding import parallelism_of
+
+    parallelism = parallelism_of(feeds.config)
     with telemetry.span("save_feeds") as sp:
         mobility = feeds.mobility
-        shard_files, num_shards = _commit_mobility(feeds, path)
+        shard_files, num_shards = _commit_mobility(
+            mobility, path, parallelism.num_shards
+        )
         event_files = _commit_events(feeds, path, num_shards)
-        _atomic_csv(feeds.radio_kpis, path / _KPIS)
-        _atomic_csv(feeds.rat_time, path / _RAT)
-        _atomic_pickle(feeds.config, path / _CONFIG)
-        # A re-save over a format-1 run supersedes its archive.
-        (path / _MOBILITY).unlink(missing_ok=True)
+        _atomic_table(feeds.radio_kpis, path / _KPIS)
+        _atomic_table(feeds.rat_time, path / _RAT)
+        _atomic_write(
+            path / _CONFIG, lambda handle: pickle.dump(feeds.config, handle)
+        )
 
-        from repro.simulation.sharding import parallelism_of
-
-        parallelism = parallelism_of(feeds.config)
         digests = {
             name: _sha256_file(path / name)
             for name in (*_DIGESTED_FILES, *shard_files, *event_files)
@@ -316,14 +325,16 @@ def save_feeds(feeds: DataFeeds, directory: str | Path) -> Path:
         sp.add("rat_rows", len(feeds.rat_time))
         sp.add("shards", num_shards)
         _atomic_text(json.dumps(manifest, indent=2), path / _MANIFEST)
-        # Only after the commit point: a compacting re-save of a
-        # segmented live run supersedes its day-count-versioned table
-        # files (the canonical names were just rewritten; a crash
-        # before the manifest rename must leave them referenced).
-        for base in (_KPIS, _RAT):
-            stem, _, suffix = base.partition(".")
-            for stale in path.glob(f"{stem}.*.{suffix}"):
-                stale.unlink(missing_ok=True)
+        # Only after the commit point: a re-save supersedes the tables
+        # the previous manifest referenced — day-count-versioned ones
+        # of a segmented live run, the CSV tables of a format-1/2 run —
+        # and a format-1 run's mobility archive (a crash before the
+        # manifest rename must leave them all in place).
+        for stem in _TABLE_STEMS:
+            for stale in path.glob(f"{stem}.*"):
+                if stale.name not in (_KPIS, _RAT):
+                    stale.unlink(missing_ok=True)
+        (path / _MOBILITY).unlink(missing_ok=True)
         if not event_files:
             # A save without signalling frames stops referencing any
             # event partition a previous save left behind.
@@ -356,10 +367,9 @@ def append_feeds(feeds: DataFeeds, chunk: DataFeeds, directory: str | Path) -> P
     """
     path = Path(directory)
     manifest = _read_manifest(path)
-    if manifest["format_version"] != _FORMAT_VERSION:
+    if manifest["format_version"] == 1:
         raise RunStoreError(
-            f"run {path} uses feed-store format "
-            f"{manifest['format_version']}; only format "
+            f"run {path} uses feed-store format 1; only format 2 and "
             f"{_FORMAT_VERSION} runs can be advanced",
             path=path / _MANIFEST,
         )
@@ -398,51 +408,30 @@ def append_feeds(feeds: DataFeeds, chunk: DataFeeds, directory: str | Path) -> P
 
     with telemetry.span("append_feeds") as sp:
         # 1. New dwell days → a fresh segment, never touching old files.
-        writer = getattr(chunk.mobility, "pending_writer", None)
-        if (
-            writer is not None
-            and writer.run_directory == path
-            and writer.day_offset == base_days
-        ):
-            segment_files = writer.commit()
-            chunk.mobility.pending_writer = None
-        else:
-            from repro.simulation.sharding import shard_user_indices
-
-            writer = ColumnarWriter(
-                path,
-                list(
-                    shard_user_indices(chunk.mobility.user_ids, num_shards)
-                ),
-                chunk.mobility.user_ids,
-                chunk.mobility.anchor_sites,
-                chunk_days,
-                day_offset=base_days,
-            )
-            writer.write_all(chunk.mobility)
-            segment_files = writer.commit()
-        if writer.num_shards != num_shards:
+        segment_files, written_shards = _commit_mobility(
+            chunk.mobility, path, num_shards, day_offset=base_days
+        )
+        if written_shards != num_shards:
             raise RunStoreError(
                 f"appended segment was partitioned into "
-                f"{writer.num_shards} shards but run {path} stores "
+                f"{written_shards} shards but run {path} stores "
                 f"{num_shards}",
                 path=path / _MANIFEST,
             )
 
-        # 2. Full table rewrite under versioned names (tables are small
-        # and CSV floats round-trip exactly, so the combined file is
-        # byte-identical to a batch run's prefix + new rows).
+        # 2. Full table rewrite under versioned names (the archives
+        # keep every column's exact bits and dtype, so the combined
+        # table is byte-identical to a batch run's prefix + new rows).
+        # A format-2 run's CSV tables are superseded the same way.
         from repro.frames import concat
 
-        tables = block.get("tables") or {}
-        old_kpis = tables.get("radio_kpis", _KPIS)
-        old_rat = tables.get("rat_time", _RAT)
+        old_kpis, old_rat = _table_names(manifest)
         new_kpis = _table_name(_KPIS, new_days)
         new_rat = _table_name(_RAT, new_days)
         combined_kpis = concat([feeds.radio_kpis, chunk.radio_kpis])
         combined_rat = concat([feeds.rat_time, chunk.rat_time])
-        _atomic_csv(combined_kpis, path / new_kpis)
-        _atomic_csv(combined_rat, path / new_rat)
+        _atomic_table(combined_kpis, path / new_kpis)
+        _atomic_table(combined_rat, path / new_rat)
 
         # 3. Digest map: drop the superseded tables, add the new files.
         digests = {
@@ -470,6 +459,7 @@ def append_feeds(feeds: DataFeeds, chunk: DataFeeds, directory: str | Path) -> P
             baseline = chunk.live.get("baseline_dl_total")
 
         new_manifest = dict(manifest)
+        new_manifest["format_version"] = _FORMAT_VERSION
         new_manifest["num_days"] = new_days
         new_manifest["num_kpi_rows"] = len(combined_kpis)
         new_manifest["interconnect_upgrade_day"] = upgrade
@@ -650,14 +640,31 @@ def _read_segments(path: Path, block: dict) -> list[tuple[int, int]] | None:
     return spans or None
 
 
-def _read_frame(path: Path, name: str):
+def _table_names(manifest: dict) -> tuple[str, str]:
+    """The (KPI, RAT) table files a manifest references.
+
+    Live runs record versioned names under ``feeds.tables``; otherwise
+    the canonical names apply — CSV for format-1/2 runs.
+    """
+    version = manifest["format_version"]
+    block = (manifest.get("feeds") if version != 1 else None) or {}
+    tables = block.get("tables") or {}
+    suffix = ".csv" if version < 3 else ".npz"
+    kpis, rat = (tables.get(stem, stem + suffix) for stem in _TABLE_STEMS)
+    return kpis, rat
+
+
+def _read_frame(path: Path, name: str) -> Frame:
     frame_path = path / name
     if not frame_path.exists():
         raise RunStoreError(
             f"saved run {path} is missing {frame_path}", path=frame_path
         )
     try:
-        return read_csv(frame_path)
+        if frame_path.suffix == ".csv":  # a format-1/2 run
+            return read_csv(frame_path)
+        with np.load(frame_path, allow_pickle=False) as archive:
+            return Frame({key: archive[key] for key in archive.files})
     except Exception as err:
         raise RunStoreError(
             f"corrupt feed {frame_path}: {err}", path=frame_path
@@ -716,7 +723,7 @@ def load_feeds(directory: str | Path, *, lazy: bool = False) -> DataFeeds:
     feeds_block = (
         manifest.get("feeds") if manifest["format_version"] != 1 else {}
     ) or {}
-    tables = feeds_block.get("tables") or {}
+    kpis_name, rat_name = _table_names(manifest)
     segments = (
         _read_segments(path, feeds_block)
         if manifest["format_version"] != 1
@@ -760,8 +767,8 @@ def load_feeds(directory: str | Path, *, lazy: bool = False) -> DataFeeds:
         base=world.base,
         agents=world.agents,
         mobility=mobility,
-        radio_kpis=_read_frame(path, tables.get("radio_kpis", _KPIS)),
-        rat_time=_read_frame(path, tables.get("rat_time", _RAT)),
+        radio_kpis=_read_frame(path, kpis_name),
+        rat_time=_read_frame(path, rat_name),
         epidemic=world.epidemic,
         interconnect_upgrade_day=(
             int(upgrade) if upgrade is not None else None

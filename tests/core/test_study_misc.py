@@ -1,5 +1,8 @@
 """Tests for the study driver, correlations, RAT shares and reports."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -140,3 +143,15 @@ class TestStudyConstruction:
         study = CovidImpactStudy(feeds, gyration_mode="paper")
         metrics = study.metrics
         assert metrics.gyration_km.shape[0] == feeds.calendar.num_days
+
+    def test_memoized_figures_do_not_pin_the_study(self, feeds):
+        # Figure results are memoized on the instance, so a dropped
+        # study (and every array it holds) is freed.
+        study = CovidImpactStudy(feeds, parallel=False)
+        shares = study.rat_share()
+        assert study.rat_share() is shares
+        study.fig9()
+        ref = weakref.ref(study)
+        del study
+        gc.collect()
+        assert ref() is None

@@ -1,11 +1,59 @@
 """Tests for feed persistence (save/load round trip, precise errors)."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from repro.frames import Frame, write_csv
 from repro.io import RunStoreError, load_feeds, save_feeds
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import Simulator
+
+TABLES = ("radio_kpis", "rat_time")
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _rewrite_manifest(path, edit) -> None:
+    manifest = json.loads((path / "manifest.json").read_text())
+    edit(manifest)
+    (path / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _to_csv_tables(path, version: int = 2) -> None:
+    """Turn a saved run into a format-``version`` run with CSV tables.
+
+    Formats 1 and 2 stored both tables as CSV text under their
+    canonical names; the digests are re-recorded over the CSV files.
+    """
+    def edit(manifest):
+        manifest["format_version"] = version
+        digests = manifest["feeds_sha256"]
+        for stem in TABLES:
+            archive = path / f"{stem}.npz"
+            with np.load(archive) as columns:
+                write_csv(
+                    Frame({key: columns[key] for key in columns.files}),
+                    path / f"{stem}.csv",
+                )
+            archive.unlink()
+            del digests[f"{stem}.npz"]
+            digests[f"{stem}.csv"] = _sha256(path / f"{stem}.csv")
+
+    _rewrite_manifest(path, edit)
+
+
+def _assert_tables_bitwise(loaded, original) -> None:
+    for stem in TABLES:
+        back, ref = getattr(loaded, stem), getattr(original, stem)
+        assert back.column_names == ref.column_names
+        for name in ref.column_names:
+            assert back[name].dtype == ref[name].dtype, (stem, name)
+            assert back[name].tobytes() == ref[name].tobytes(), (stem, name)
 
 
 @pytest.fixture(scope="module")
@@ -77,9 +125,9 @@ class TestRoundTrip:
         path = save_feeds(run_feeds, tmp_path / "m")
         assert (path / "manifest.json").exists()
         assert (path / "config.pkl").exists()
-        assert (path / "radio_kpis.csv").exists()
+        assert (path / "radio_kpis.npz").exists()
         manifest = json.loads((path / "manifest.json").read_text())
-        assert manifest["format_version"] == 2
+        assert manifest["format_version"] == 3
         assert manifest["feeds"]["layout"] == "columnar"
         shards = manifest["feeds"]["num_shards"]
         assert shards >= 1
@@ -242,23 +290,45 @@ class TestPreciseErrors:
             load_feeds(saved)
 
     def test_missing_kpis(self, saved):
-        (saved / "radio_kpis.csv").unlink()
-        with pytest.raises(RunStoreError, match="radio_kpis.csv"):
+        (saved / "radio_kpis.npz").unlink()
+        with pytest.raises(RunStoreError, match="radio_kpis.npz"):
             load_feeds(saved)
 
     def test_error_carries_the_path(self, saved):
-        (saved / "rat_time.csv").unlink()
+        (saved / "rat_time.npz").unlink()
         with pytest.raises(RunStoreError) as excinfo:
             load_feeds(saved)
-        assert excinfo.value.path == saved / "rat_time.csv"
+        assert excinfo.value.path == saved / "rat_time.npz"
+
+    def test_pickled_table_member_is_refused(self, saved):
+        # An archive smuggling an object-dtype (pickled) column, with
+        # its digest re-recorded so the check passes: the table reader
+        # itself must refuse to unpickle it, naming the file.
+        target = saved / "rat_time.npz"
+        with open(target, "wb") as handle:
+            np.savez(
+                handle,
+                day=np.arange(3),
+                rat=np.array(["2G", 3, None], dtype=object),
+            )
+        _rewrite_manifest(
+            saved,
+            lambda m: m["feeds_sha256"].update(
+                {"rat_time.npz": _sha256(target)}
+            ),
+        )
+        with pytest.raises(RunStoreError, match="rat_time.npz") as exc:
+            load_feeds(saved)
+        assert exc.value.path == target
+        assert "allow_pickle" in str(exc.value)
 
 
 class TestFeedDigests:
     """save_feeds records per-feed SHA-256; load_feeds verifies them."""
 
     FILES = (
-        "radio_kpis.csv",
-        "rat_time.csv",
+        "radio_kpis.npz",
+        "rat_time.npz",
         "config.pkl",
         "feeds/shard-0000/rows.npy",
         "feeds/shard-0000/user_ids.npy",
@@ -296,8 +366,8 @@ class TestFeedDigests:
     @pytest.mark.parametrize(
         "name",
         [
-            "radio_kpis.csv",
-            "rat_time.csv",
+            "radio_kpis.npz",
+            "rat_time.npz",
             "config.pkl",
             "feeds/shard-0000/daily_dwell.npy",
         ],
@@ -381,6 +451,36 @@ class TestAtomicPersistence:
         assert exc.value.path is not None
         assert str(exc.value.path).startswith(str(target))
 
+    @pytest.mark.parametrize("crash_at", ["table", "manifest"])
+    def test_torn_resave_keeps_a_legacy_run(
+        self, run_feeds, tmp_path, monkeypatch, crash_at
+    ):
+        # A re-save over a format-2 run writes .npz tables; its CSV
+        # tables go only after the manifest commit.  A crash during the
+        # table write or at the commit leaves the old run loading.
+        import repro.io.store as store_module
+
+        target = save_feeds(run_feeds, tmp_path / "run")
+        _to_csv_tables(target)
+        before = {stem: (target / f"{stem}.csv").read_bytes()
+                  for stem in TABLES}
+
+        def boom(*args):
+            raise OSError("crash")
+
+        hook = "_atomic_table" if crash_at == "table" else "_atomic_text"
+        monkeypatch.setattr(store_module, hook, boom)
+        with pytest.raises(OSError):
+            save_feeds(run_feeds, target)
+        monkeypatch.undo()
+        for stem in TABLES:
+            assert (target / f"{stem}.csv").read_bytes() == before[stem]
+        _assert_tables_bitwise(load_feeds(target), run_feeds)
+
+        save_feeds(run_feeds, target)
+        assert not list(target.glob("*.csv"))
+        _assert_tables_bitwise(load_feeds(target), run_feeds)
+
     def test_save_leaves_no_temporaries(self, run_feeds, tmp_path):
         path = save_feeds(run_feeds, tmp_path / "clean")
         assert not list(path.rglob("*.tmp"))
@@ -406,8 +506,12 @@ class TestFormatV1Compat:
         import json
 
         path = save_feeds(run_feeds, tmp_path / "v1")
-        # Rebuild the historical layout from the saved run: a single
-        # compressed archive instead of the feeds/ partition.
+        # Rebuild the historical layout from the saved run: CSV tables
+        # and a single compressed archive instead of the feeds/
+        # partition.
+        for stem in TABLES:
+            write_csv(getattr(run_feeds, stem), path / f"{stem}.csv")
+            (path / f"{stem}.npz").unlink()
         mobility = run_feeds.mobility
         np.savez_compressed(
             path / "mobility.npz",
@@ -464,3 +568,31 @@ class TestFormatV1Compat:
         with pytest.raises(RunStoreError, match="mobility.npz") as exc:
             load_feeds(v1_dir)
         assert exc.value.path == target
+
+
+class TestFormatV2Compat:
+    """Format-2 runs (CSV tables) load and keep advancing."""
+
+    def test_v2_run_loads_bitwise(self, run_feeds, tmp_path):
+        path = save_feeds(run_feeds, tmp_path / "v2")
+        _to_csv_tables(path)
+        _assert_tables_bitwise(load_feeds(path), run_feeds)
+
+    def test_v2_live_run_advances_to_batch_bytes(self, tmp_path):
+        from repro import api
+        from tests.test_live import _config, _tree
+
+        live = tmp_path / "live"
+        api.simulate(_config(2), live, days=5)
+        _to_csv_tables(live)
+        run = api.Run.open(live)
+        run.advance(3)
+        # The first append rewrites the tables as .npz, drops the CSV
+        # ones after its commit and moves the run to format 3.
+        assert not list(live.glob("*.csv"))
+        manifest = json.loads((live / "manifest.json").read_text())
+        assert manifest["format_version"] == 3
+        while not run.frozen():
+            run.advance(3)
+        api.simulate(_config(2), tmp_path / "batch")
+        assert _tree(live) == _tree(tmp_path / "batch")
