@@ -496,11 +496,14 @@ def parallel_night_win_counts(
 # The study's figure chains are CPU-bound numpy reductions; a thread
 # pool leaves most of the arithmetic serialized behind the GIL.  When a
 # run is persisted with an artifact cache, the chains can instead run
-# in pool workers that rebuild a study of their own — the initializer
+# in pool workers that build a study of their own — the initializer
 # loads the run lazily and attaches the same content-addressed cache,
 # so every artifact a worker computes lands in the shared on-disk store
 # and the coordinator's accessors read it back as cache hits (bitwise
 # identical to computing in-process, by the cache round-trip contract).
+# The load gets its world from build_world, which makes it once per
+# worker process, or not at all when the pool forks a coordinator that
+# already holds it.
 
 _FIGURE_STUDY = None
 

@@ -499,13 +499,16 @@ class CovidImpactStudy:
         def weekly_avg(series: MobilitySeries, week: int) -> float:
             return series.at_week("UK", week, weeks_of_day=weeks_of_day)
 
-        gyration = fig3["gyration"]
-        entropy = fig3["entropy"]
+        # The lockdown weeks the data holds: a live run before day 56
+        # ends inside week 13.
+        lockdown_weeks = [
+            week for week in (13, 14) if np.any(weeks_of_day == week)
+        ]
         lockdown_gyration = min(
-            weekly_avg(gyration, 13), weekly_avg(gyration, 14)
+            weekly_avg(fig3["gyration"], week) for week in lockdown_weeks
         )
         lockdown_entropy = min(
-            weekly_avg(entropy, 13), weekly_avg(entropy, 14)
+            weekly_avg(fig3["entropy"], week) for week in lockdown_weeks
         )
 
         dl = fig8["dl_volume_mb"]
@@ -524,8 +527,11 @@ class CovidImpactStudy:
         lockdown_days = np.flatnonzero(
             feeds.calendar.weeks[fig7.days] >= 14
         )
-        away = np.mean(
-            [fig7.away_share(int(day)) for day in lockdown_days]
+        # No week-14 day yet (a live run before day 56): no lockdown
+        # share either.
+        away = (
+            np.mean([fig7.away_share(int(day)) for day in lockdown_days])
+            if lockdown_days.size else np.nan
         )
         baseline_days = np.flatnonzero(
             feeds.calendar.weeks[fig7.days] == BASELINE_WEEK

@@ -24,9 +24,11 @@ read without unpickling, column order and dtypes intact.  Older runs
 still load: formats 1 and 2 store the tables as CSV text (chosen by
 file suffix on read), and format 1 keeps the mobility feed in a single
 ``mobility.npz``.  The world (geography, topology, subscriber base,
-agents) is *not* stored: it is a pure function of the configuration
-and is rebuilt on load, which keeps saved runs small and guarantees
-the reloaded bundle is exactly what the simulator produced.
+agents) is *not* stored: it is a pure function of the configuration,
+built once per process per configuration
+(:func:`repro.simulation.engine.build_world`) and shared by every load
+of it, which keeps saved runs small and guarantees the reloaded bundle
+is exactly what the simulator produced.
 
 Persistence is atomic: every file is written under a temporary name and
 ``os.replace``d into place, and ``manifest.json`` is written last as

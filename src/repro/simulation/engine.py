@@ -67,11 +67,12 @@ one ``None`` check per instrumented site.
 
 from __future__ import annotations
 
+import pickle
 import time
 
 import numpy as np
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 from repro import telemetry
 from repro.frames import Frame
@@ -137,9 +138,13 @@ class World:
 
     Fully deterministic given the configuration — which is what lets
     :mod:`repro.io` reload persisted feeds without re-running the day
-    loop: the world is rebuilt, the measured arrays are loaded.  The
-    same determinism is what lets every pool worker rebuild an
-    identical world from the configuration alone.
+    loop: the world comes from the configuration, the measured arrays
+    are loaded.  :func:`build_world` builds it once per process per
+    configuration and hands every later caller (the engine, each load,
+    each pool initializer) the same components; forked pool workers
+    inherit the parent's world, spawned ones build their own.  Its
+    arrays are read-only, so a stray in-place write fails where it
+    happens instead of corrupting every run that shares the world.
     """
 
     config: SimulationConfig
@@ -157,8 +162,24 @@ class World:
     epidemic: EpidemicCurve
 
 
+# The last world built in this process, keyed by the pickled bytes of
+# its whole configuration (``SimulationConfig`` has no value equality,
+# and ``_pool_compute`` reads ``fault_spec`` from ``world.config``, so
+# a normalized digest would not do).
+_LAST_WORLD: tuple[bytes, World] | None = None
+
+
 def build_world(config: SimulationConfig) -> World:
-    """Deterministically build every static simulation object."""
+    """Deterministically build every static simulation object.
+
+    A configuration that pickles to the same bytes as the previous
+    call's gets the previous world back, with ``config`` set to the
+    caller's object.
+    """
+    global _LAST_WORLD
+    key = pickle.dumps(config)
+    if _LAST_WORLD is not None and _LAST_WORLD[0] == key:
+        return replace(_LAST_WORLD[1], config=config)
     calendar = config.calendar
     geography = build_uk_geography(seed=config.seed)
     topology = build_topology(
@@ -186,7 +207,7 @@ def build_world(config: SimulationConfig) -> World:
         agents, timeline, calendar,
         settings=config.behavior, seed=config.seed + 5,
     )
-    return World(
+    world = World(
         config=config,
         geography=geography,
         topology=topology,
@@ -205,6 +226,12 @@ def build_world(config: SimulationConfig) -> World:
         scheduler=CellScheduler(config.scheduler),
         epidemic=EpidemicCurve(),
     )
+    for field in fields(World)[1:]:  # the components, not the config
+        for value in vars(getattr(world, field.name)).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+    _LAST_WORLD = (key, world)
+    return world
 
 
 @dataclass
@@ -517,15 +544,17 @@ def _compute_shard_day(
 
 
 # -- process-pool plumbing --------------------------------------------------
-# Workers rebuild the (deterministic) world once per process via the
-# pool initializer, then serve any number of shards from it.  When the
-# coordinator has telemetry enabled, each worker records into its own
-# recorder and ships a snapshot back on every ShardResult; the recorder
-# is reset at the start of every task, so partial telemetry from a
-# failed attempt is discarded instead of riding home on whichever shard
-# that worker happens to complete next (scheduling-dependent).  Fault
-# injections are therefore counted by the coordinator when the failure
-# comes back, never by the worker.
+# Workers get the (deterministic) world once per process via the pool
+# initializer — forked workers inherit the coordinator's, which is
+# built before the pool starts; spawned ones build it — then serve any
+# number of shards from it.  When the coordinator has telemetry
+# enabled, each worker records into its own recorder and ships a
+# snapshot back on every ShardResult; the recorder is reset at the
+# start of every task, so partial telemetry from a failed attempt is
+# discarded instead of riding home on whichever shard that worker
+# happens to complete next (scheduling-dependent).  Fault injections
+# are therefore counted by the coordinator when the failure comes
+# back, never by the worker.
 _WORKER_CONTEXT: _RunContext | None = None
 
 #: Sleep used between retry attempts; module-level so recovery tests

@@ -14,6 +14,7 @@ import dataclasses
 import datetime as dt
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ import pytest
 
 from repro import api
 from repro.simulation.checkpoint import CheckpointStore
-from repro.simulation.clock import StudyCalendar
+from repro.simulation.clock import BASELINE_WEEK, StudyCalendar
 from repro.simulation.config import SimulationConfig
 from repro.simulation.faults import RecoverySettings, ShardExecutionError
 
@@ -290,6 +291,29 @@ class TestIncrementalAnalytics:
         assert np.array_equal(
             metrics_8.entropy[:6], metrics_6.entropy
         )
+
+
+class TestLiveSummary:
+    def test_summary_before_week_14(self, tmp_path):
+        """At day 56 the data ends in week 13: the lockdown figures
+        are the week-13 averages, computed without NaN warnings."""
+        config = SimulationConfig.tiny(seed=5).with_overrides(
+            num_users=400, target_site_count=60
+        )
+        run = api.simulate(config, tmp_path / "run", days=56)
+        weeks = run.feeds.calendar.weeks
+        assert weeks.max() == 13
+        study = run.study(cache=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            summary = study.summary()
+        weeks_of_day = weeks[weeks >= BASELINE_WEEK]
+        for metric in ("gyration", "entropy"):
+            week_13 = study.fig3()[metric].at_week(
+                "UK", 13, weeks_of_day=weeks_of_day
+            )
+            assert summary[f"{metric}_change_lockdown_pct"] == week_13
+        assert np.isnan(summary["inner_london_away_share_lockdown"])
 
 
 try:
