@@ -4,8 +4,8 @@ The analysis kernels are shard-partitioned by construction: entropy,
 gyration and the night-win counts are strictly row-independent, and
 sessionization never crosses users, so every per-shard partial can be
 computed from *that shard's files alone* and merged associatively.
-This module fans those per-shard walks across a
-:class:`~concurrent.futures.ProcessPoolExecutor`.
+This module fans those per-shard walks across the process pool of
+:func:`repro.executor.run_tasks`.
 
 No feed object ever crosses the process boundary.  A worker receives
 only a :class:`ShardPlan` — the run directory, the shard layout, the
@@ -22,8 +22,10 @@ homes) or the stable user-partitioned sort (sessions).
 
 ``REPRO_ANALYSIS_SERIAL=1`` forces the sequential walk — the
 differential oracle every parallel result is gated against.  When the
-pool cannot start or dies (:class:`_PoolLost`), the coordinator
-degrades to running the identical task functions in-process.
+pool cannot start or dies, the runner degrades to running the shards
+it had not finished through the identical task functions in-process;
+a task that raises (a corrupt shard file, say) raises its own error
+instead.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import telemetry
+from repro.executor import run_tasks
 
 __all__ = [
     "ENV_SERIAL",
@@ -148,12 +151,10 @@ def plan_for(feeds) -> ShardPlan | None:
 
 
 # -- worker side ------------------------------------------------------------
-# Workers open their own maps once per process via the pool initializer
-# and serve any number of shard tasks from them.  Mirrors the engine's
-# pool plumbing: when the coordinator has telemetry enabled, each
-# worker records into its own recorder and ships a snapshot back with
-# every payload; the recorder is reset at the start of every task so a
-# failed attempt's partial telemetry never rides home on a later task.
+# Each pool worker builds one _WorkerState from the plan in the pool
+# initializer and serves any number of shard tasks from it, opening
+# its own shard maps on first use; the in-process path runs the same
+# task functions on a coordinator-side _WorkerState.
 
 
 @dataclass
@@ -199,45 +200,12 @@ class _WorkerState:
         return self.events
 
 
-_WORKER_STATE: _WorkerState | None = None
-
-
-class _PoolLost(Exception):
-    """Internal: the process pool died or never started — degrade."""
-
-
-def _worker_init(
-    plan: ShardPlan,
-    site_lats: np.ndarray | None,
-    site_lons: np.ndarray | None,
-    record_telemetry: bool = False,
-) -> None:  # pragma: no cover - runs in pool workers
-    global _WORKER_STATE
-    _WORKER_STATE = _WorkerState(plan, site_lats, site_lons)
-    if record_telemetry:
-        telemetry.enable()
-
-
-def _worker_run(task: tuple):  # pragma: no cover - runs in pool workers
-    """Run one shard task in a pool worker; returns (payload, snapshot)."""
-    assert _WORKER_STATE is not None, "pool worker not initialized"
-    recorder = telemetry.active()
-    if recorder is not None:
-        recorder.reset()
-    payload = _run_task(_WORKER_STATE, task)
-    snapshot = None
-    if recorder is not None:
-        snapshot = recorder.snapshot()
-        recorder.reset()
-    return payload, snapshot
-
-
-def _run_task(state: _WorkerState, task: tuple):
+def _run_task(state: _WorkerState, task: tuple, attempt: int):
     """Dispatch one ``(name, shard_index, kwargs)`` task.
 
     The single executable form of a shard task, shared verbatim by the
-    pool workers and the in-process degraded path — the fallback is
-    bitwise identical because it *is* the same code.
+    pool workers and the in-process path — the fallback is bitwise
+    identical because it *is* the same code.
     """
     name, shard_index, kwargs = task
     return _TASKS[name](state, shard_index, **kwargs)
@@ -322,7 +290,7 @@ def map_shards(
     ``workers`` > 1 (and the serial oracle off) the tasks run in a
     process pool whose initializer hands every worker the plan — the
     workers open their own shard maps.  A pool that cannot start or
-    dies degrades to executing the identical task functions in-process
+    dies degrades to executing the unfinished tasks in-process
     (counted as ``analysis.pool_degraded``); results are bitwise the
     same either way.  Worker telemetry snapshots are absorbed under the
     dispatching span, and every merged payload counts
@@ -330,70 +298,18 @@ def map_shards(
     """
     if not tasks:
         return []
-    workers = max(1, min(int(workers), len(tasks)))
-    with telemetry.span(span_name) as span:
+    with telemetry.span(span_name):
         telemetry.count("analysis.shards_dispatched", len(tasks))
-        results = None
-        if workers > 1 and not use_serial():
-            try:
-                results = _map_pool(
-                    plan, tasks, workers, site_lats, site_lons, span
-                )
-            except _PoolLost:
-                telemetry.count("analysis.pool_degraded", 1)
-                results = None
-        if results is None:
-            state = _WorkerState(plan, site_lats, site_lons)
-            results = [_run_task(state, task) for task in tasks]
-            telemetry.count("analysis.worker_merge", len(tasks))
+        results = run_tasks(
+            _run_task,
+            tasks,
+            state=_WorkerState(plan, site_lats, site_lons),
+            init=(_WorkerState, (plan, site_lats, site_lons)),
+            workers=1 if use_serial() else workers,
+            degraded="analysis.pool_degraded",
+        )
+        telemetry.count("analysis.worker_merge", len(tasks))
     return results
-
-
-def _map_pool(
-    plan: ShardPlan,
-    tasks: list[tuple],
-    workers: int,
-    site_lats: np.ndarray | None,
-    site_lons: np.ndarray | None,
-    span,
-) -> list:
-    from concurrent.futures import FIRST_COMPLETED, wait
-    from concurrent.futures.process import BrokenProcessPool
-
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_init,
-            initargs=(plan, site_lats, site_lons, telemetry.enabled()),
-        ) as pool:
-            pending = {
-                pool.submit(_worker_run, task): position
-                for position, task in enumerate(tasks)
-            }
-            results: list = [None] * len(tasks)
-            while pending:
-                done, _ = wait(set(pending), return_when=FIRST_COMPLETED)
-                for future in done:
-                    position = pending.pop(future)
-                    try:
-                        payload, snapshot = future.result()
-                    except BrokenProcessPool as err:
-                        raise _PoolLost from err
-                    if snapshot is not None:
-                        telemetry.absorb(snapshot, prefix=span.path)
-                    telemetry.count("analysis.worker_merge", 1)
-                    results[position] = payload
-            return results
-    except _PoolLost:
-        raise
-    except (OSError, ValueError, RuntimeError, ImportError) as err:
-        # The pool itself is unusable (could not start, lost its
-        # semaphores, a task raised, ...) — degrade to in-process
-        # execution of the same task functions; genuine task errors
-        # re-raise there with a usable traceback.
-        raise _PoolLost from err
 
 
 def parallel_daily_metrics(
@@ -503,75 +419,55 @@ def parallel_night_win_counts(
 # identical to computing in-process, by the cache round-trip contract).
 # The load gets its world from build_world, which makes it once per
 # worker process, or not at all when the pool forks a coordinator that
-# already holds it.
+# already holds it.  A chain the pool did not finish runs on the
+# coordinator's own study instead.
 
-_FIGURE_STUDY = None
 
-
-def _figure_worker_init(
+def _figure_study(
     run_directory: str, gyration_mode: str
-) -> None:  # pragma: no cover - runs in pool workers
-    global _FIGURE_STUDY
+):  # pragma: no cover - runs in pool workers
     from repro.analysis.cache import ArtifactCache
     from repro.core.study import CovidImpactStudy
     from repro.io.store import load_feeds
 
     feeds = load_feeds(run_directory, lazy=True)
-    cache = ArtifactCache.for_feeds(run_directory, feeds)
-    _FIGURE_STUDY = CovidImpactStudy(
+    return CovidImpactStudy(
         feeds,
         gyration_mode=gyration_mode,
-        cache=cache,
+        cache=ArtifactCache.for_feeds(run_directory, feeds),
         parallel=False,
     )
 
 
-def _figure_worker_run(
-    chain: tuple[str, ...]
-) -> tuple[str, ...]:  # pragma: no cover - runs in pool workers
-    assert _FIGURE_STUDY is not None, "figure worker not initialized"
+def _run_chain(study, chain: tuple[str, ...], attempt: int) -> None:
     for name in chain:
-        getattr(_FIGURE_STUDY, name)()
-    return chain
+        getattr(study, name)()
 
 
 def map_figure_chains(
+    study,
     run_directory: str,
     gyration_mode: str,
     chains: list[tuple[str, ...]],
     *,
     workers: int,
-) -> bool:
-    """Warm the artifact cache by running figure chains in pool workers.
+) -> None:
+    """Compute ``study``'s figure chains, in pool workers if possible.
 
-    Returns ``True`` when every chain completed (the coordinator's
-    accessors then serve from the shared cache) and ``False`` when the
-    pool was unusable or any chain failed — the caller falls back to
-    its thread fan-out, where a genuine computation error re-raises
-    with a usable traceback.
+    Each worker rebuilds the study from ``run_directory`` and lands its
+    artifacts in the shared cache, so ``study``'s accessors then serve
+    them as cache hits.  A pool that cannot start or dies degrades to
+    running the unfinished chains on ``study`` itself; a chain that
+    raises raises its own error.
     """
-    if not chains:
-        return True
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        with ProcessPoolExecutor(
-            max_workers=max(1, min(int(workers), len(chains))),
-            initializer=_figure_worker_init,
-            initargs=(str(run_directory), gyration_mode),
-        ) as pool:
-            futures = [
-                pool.submit(_figure_worker_run, tuple(chain))
-                for chain in chains
-            ]
-            for future in futures:
-                future.result()
-        return True
-    except Exception:
-        # Unusable pool (BrokenProcessPool, could not start) or a chain
-        # that raised — either way the thread fallback redoes the work.
-        return False
+    run_tasks(
+        _run_chain,
+        [tuple(chain) for chain in chains],
+        state=study,
+        init=(_figure_study, (str(run_directory), gyration_mode)),
+        workers=workers,
+        degraded="analysis.pool_degraded",
+    )
 
 
 def parallel_sessionize_events(

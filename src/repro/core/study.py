@@ -23,12 +23,12 @@ make repeated analysis cheap:
   (:func:`repro.analysis.parallel.map_figure_chains`): each worker
   rebuilds the study from the run directory and lands its artifacts in
   the shared content-addressed cache, sidestepping the GIL the
-  CPU-bound figure reductions otherwise serialize behind.  Otherwise —
-  or when the pool is unavailable — the chains fan out across threads
-  as before.  The fan-out is skipped while telemetry is enabled,
-  because span paths nest by call order and a profile interleaved
-  across workers would be unreadable; results are identical every way,
-  each artifact is computed exactly once.
+  CPU-bound figure reductions otherwise serialize behind; when the
+  pool is unavailable, the chains it did not finish run in-process.
+  Otherwise the chains fan out across threads.  The fan-out is skipped
+  while telemetry is enabled, because span paths nest by call order and
+  a profile interleaved across workers would be unreadable; results are
+  identical every way, each artifact is computed exactly once.
 """
 
 from __future__ import annotations
@@ -408,12 +408,12 @@ class CovidImpactStudy:
         thread.  With explicit ``workers`` > 1 on a persisted cached
         run the chains go to a process pool
         (:func:`repro.analysis.parallel.map_figure_chains`) whose
-        workers warm the shared artifact cache; otherwise — and as the
-        fallback whenever that pool is unavailable — they fan out
-        across threads.  Skipped entirely (falling back to the
-        identical serial order) when ``parallel=False``, while
-        telemetry is enabled (span paths nest by call order), or for
-        the thread path on a single-CPU host.
+        workers warm the shared artifact cache; a chain that pool does
+        not finish runs on this study.  Otherwise they fan out across
+        threads.  Skipped entirely (falling back to the identical
+        serial order) when ``parallel=False``, while telemetry is
+        enabled (span paths nest by call order), or for the thread path
+        on a single-CPU host.
         """
         level = 2 if full else 1
         if self._materialized >= level:
@@ -427,49 +427,40 @@ class CovidImpactStudy:
             and _parallel.resolve_workers(self._workers) > 1
             and not _parallel.use_serial()
         )
+        directory = getattr(self._feeds, "source_directory", None)
+        processes = (
+            explicit and self._cache is not None and directory is not None
+        )
         cpus = os.cpu_count() or 1
-        if not explicit and cpus <= 1:
+        if not processes and cpus <= 1:
             return
         _ = (self.metrics, self.homes, self.labeled_kpis)
         chains = list(self._SUMMARY_CHAINS)
         if full:
             chains += list(self._FULL_CHAINS)
-        if not explicit or not self._materialize_process(chains):
-            self._materialize_threads(chains, cpus)
+        if processes:
+            _parallel.map_figure_chains(
+                self,
+                str(directory),
+                self._gyration_mode,
+                chains,
+                workers=_parallel.resolve_workers(self._workers),
+            )
+        else:
+            with ThreadPoolExecutor(
+                max_workers=min(len(chains), cpus)
+            ) as pool:
+                futures = [
+                    pool.submit(
+                        lambda names=chain: [
+                            getattr(self, name)() for name in names
+                        ]
+                    )
+                    for chain in chains
+                ]
+                for future in futures:
+                    future.result()
         self._materialized = level
-
-    def _materialize_process(self, chains: list[tuple[str, ...]]) -> bool:
-        """Run the chains in pool workers that share the on-disk cache."""
-        from repro.analysis import parallel as _parallel
-
-        directory = getattr(self._feeds, "source_directory", None)
-        if self._cache is None or directory is None:
-            return False
-        return _parallel.map_figure_chains(
-            str(directory),
-            self._gyration_mode,
-            chains,
-            workers=_parallel.resolve_workers(self._workers),
-        )
-
-    def _materialize_threads(
-        self, chains: list[tuple[str, ...]], cpus: int
-    ) -> None:
-        if cpus <= 1:
-            return
-        with ThreadPoolExecutor(
-            max_workers=min(len(chains), cpus)
-        ) as pool:
-            futures = [
-                pool.submit(
-                    lambda names=chain: [
-                        getattr(self, name)() for name in names
-                    ]
-                )
-                for chain in chains
-            ]
-            for future in futures:
-                future.result()
 
     # -- headline numbers -----------------------------------------------------
     @telemetry.timed("summary")

@@ -24,14 +24,15 @@ scatters) is embarrassingly parallel across agents.  When the
 configuration's ``parallelism`` block asks for it, the engine
 partitions the population into ``num_shards`` deterministic shards
 (:mod:`repro.simulation.sharding`), runs the shard day loops — in
-process for ``workers=1``, on a ``ProcessPoolExecutor`` otherwise —
-and reduces the shard payloads back into the exact arrays the serial
-loop produces.  Everything with global coupling (the voice
-interconnect, the load proxy, the per-cell scheduler, the daily-median
-KPI reduction, the nighttime-observability dropout) runs in the
-coordinator on the merged accumulators, so KPIs are exact rather than
-approximated.  See :mod:`repro.simulation.sharding` for the
-bitwise-vs-allclose determinism contract.
+process for ``workers=1``, on the process pool of
+:func:`repro.executor.run_tasks` otherwise — and reduces the shard
+payloads back into the exact arrays the serial loop produces.
+Everything with global coupling (the voice interconnect, the load
+proxy, the per-cell scheduler, the daily-median KPI reduction, the
+nighttime-observability dropout) runs in the coordinator on the merged
+accumulators, so KPIs are exact rather than approximated.  See
+:mod:`repro.simulation.sharding` for the bitwise-vs-allclose
+determinism contract.
 
 Fault tolerance
 ---------------
@@ -42,10 +43,12 @@ persisted through :mod:`repro.simulation.checkpoint` as it is produced;
 an interrupted run restarted over the same directory
 (:meth:`Simulator.resume`, CLI ``simulate --resume``) restores the
 completed days and computes only the missing ones, bitwise-identical
-to an uninterrupted run.  Failed shards are retried with capped
-exponential backoff (the configuration's ``recovery`` block), a broken
-process pool degrades to in-process execution instead of aborting, and
-a shard that keeps failing raises
+to an uninterrupted run.  The shared runner,
+:func:`repro.executor.run_tasks`, does the rest in the pool and in
+process alike: failed shards are retried with capped exponential
+backoff (the configuration's ``recovery`` block), a broken process
+pool degrades to in-process execution of the shards it had not
+finished instead of aborting, and a shard that keeps failing raises
 :class:`~repro.simulation.faults.ShardExecutionError` with its
 completed days already checkpointed.  All of it is testable through
 the deterministic fault plan of :mod:`repro.simulation.faults`.
@@ -54,11 +57,12 @@ Observability
 -------------
 With :mod:`repro.telemetry` enabled, a run records a ``simulate`` span
 tree — world build, run-context derivation, shard execution (with
-per-shard dwell-assembly and scatter spans, merged across the process
-pool), the per-day reductions (shard merge, voice interconnect,
-scheduler, signalling) and the final KPI reduction — and attaches the
-snapshot to ``feeds.telemetry``.  Recovery events land in counters:
-``engine.shard_retries``, ``engine.pool_degradations``,
+per-shard dwell-assembly and scatter spans; a pool worker's snapshot
+ships home with every attempt, failed ones included, and merges under
+``shard_execution``), the per-day reductions (shard merge, voice
+interconnect, scheduler, signalling) and the final KPI reduction — and
+attaches the snapshot to ``feeds.telemetry``.  Recovery events land in
+counters: ``engine.shard_retries``, ``engine.pool_degradations``,
 ``engine.checkpoint_days_saved`` / ``_restored`` and
 ``engine.faults_injected``.  Telemetry never influences results: every
 span is a pure timer around unchanged code, and a disabled run pays
@@ -68,13 +72,13 @@ one ``None`` check per instrumented site.
 from __future__ import annotations
 
 import pickle
-import time
 
 import numpy as np
 
 from dataclasses import dataclass, fields, replace
 
 from repro import telemetry
+from repro.executor import in_worker, run_tasks
 from repro.frames import Frame
 from repro.geo.build import build_uk_geography
 from repro.geo.nspl import PostcodeLookup
@@ -92,12 +96,10 @@ from repro.network.signaling import SignalingGenerator, segments_from_dwell
 from repro.network.subscribers import build_subscriber_base
 from repro.network.topology import build_topology
 from repro.simulation import kernels
-from repro.simulation.checkpoint import CheckpointError, CheckpointStore
+from repro.simulation.checkpoint import CheckpointStore
 from repro.simulation.config import SimulationConfig
 from repro.simulation.faults import (
     FaultPlan,
-    InjectedFault,
-    ShardExecutionError,
     corrupt_file,
     recovery_of,
 )
@@ -164,7 +166,7 @@ class World:
 
 # The last world built in this process, keyed by the pickled bytes of
 # its whole configuration (``SimulationConfig`` has no value equality,
-# and ``_pool_compute`` reads ``fault_spec`` from ``world.config``, so
+# and ``_shard_task`` reads ``fault_spec`` from ``world.config``, so
 # a normalized digest would not do).
 _LAST_WORLD: tuple[bytes, World] | None = None
 
@@ -378,7 +380,7 @@ def _compute_shard(
             if faults is not None:
                 faults.check(
                     shard_index, day, attempt,
-                    in_pool=_WORKER_CONTEXT is not None,
+                    in_pool=in_worker(),
                 )
             load = _compute_shard_day(
                 context, indices, day,
@@ -544,70 +546,41 @@ def _compute_shard_day(
 
 
 # -- process-pool plumbing --------------------------------------------------
-# Workers get the (deterministic) world once per process via the pool
-# initializer — forked workers inherit the coordinator's, which is
-# built before the pool starts; spawned ones build it — then serve any
-# number of shards from it.  When the coordinator has telemetry
-# enabled, each worker records into its own recorder and ships a
-# snapshot back on every ShardResult; the recorder is reset at the
-# start of every task, so partial telemetry from a failed attempt is
-# discarded instead of riding home on whichever shard that worker
-# happens to complete next (scheduling-dependent).  Fault injections
-# are therefore counted by the coordinator when the failure comes
-# back, never by the worker.
-_WORKER_CONTEXT: _RunContext | None = None
-
-#: Sleep used between retry attempts; module-level so recovery tests
-#: can monkeypatch it with a fake clock.
-_RETRY_SLEEP = time.sleep
+# Shards fan out through repro.executor.run_tasks.  Pool workers get the
+# (deterministic) run context once per process from the initializer —
+# forked workers inherit the coordinator's world, which is built before
+# the pool starts; spawned ones build it — then serve any number of
+# shard tasks from it.  The in-process path runs the same task function
+# on the coordinator's context.
 
 
-class _PoolLost(Exception):
-    """Internal: the process pool died or never started — degrade."""
+def _worker_context(
+    config: SimulationConfig,
+) -> _RunContext:  # pragma: no cover - runs in pool workers
+    return _RunContext.from_world(build_world(config))
 
 
-def _pool_init(
-    config: SimulationConfig, record_telemetry: bool = False
-) -> None:  # pragma: no cover
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = _RunContext.from_world(build_world(config))
-    if record_telemetry:
-        telemetry.enable()
+def _shard_task(
+    context: _RunContext, task: tuple, attempt: int
+) -> ShardResult:
+    """Run one shard task on ``context``.
 
-
-def _pool_compute(task: tuple) -> ShardResult:  # pragma: no cover
-    """Run one shard task in a pool worker.
-
-    ``task`` is ``(shard_index, indices, attempt, run_directory,
-    day_start, day_stop)`` — plain picklable pieces; the worker reopens
-    the checkpoint store (safe: the (shard, day) file space is
-    partitioned across tasks) and rebuilds the fault plan from its copy
-    of the configuration.
+    ``task`` is ``(shard_index, indices, checkpoint, day_start,
+    day_stop)`` — plain picklable pieces.  The checkpoint store is safe
+    to share across workers: the (shard, day) file space is partitioned
+    across tasks.  The fault plan comes from the context's
+    configuration, in the pool and in process alike.
     """
-    assert _WORKER_CONTEXT is not None, "pool worker not initialized"
-    shard_index, indices, attempt, run_directory, day_start, day_stop = task
-    recorder = telemetry.active()
-    if recorder is not None:
-        recorder.reset()
-    checkpoint = (
-        CheckpointStore.open(run_directory)
-        if run_directory is not None
-        else None
-    )
-    faults = FaultPlan.active(_WORKER_CONTEXT.world.config)
-    result = _compute_shard(
-        _WORKER_CONTEXT, indices,
+    shard_index, indices, checkpoint, day_start, day_stop = task
+    return _compute_shard(
+        context, indices,
         shard_index=shard_index,
         checkpoint=checkpoint,
-        faults=faults,
+        faults=FaultPlan.active(context.world.config),
         attempt=attempt,
         day_start=day_start,
         day_stop=day_stop,
     )
-    if recorder is not None:
-        result.telemetry = recorder.snapshot()
-        recorder.reset()
-    return result
 
 
 class Simulator:
@@ -729,20 +702,27 @@ class Simulator:
                     )
                 )
             run_span.add("shards", len(shard_indices))
-            with telemetry.span("shard_execution") as shard_span:
-                results = self._execute_shards(
-                    context, shard_indices, parallelism, checkpoint,
-                    day_start=day_start, day_stop=day_stop,
+            # Transient failures are retried with the configuration's
+            # capped backoff; a pool that dies (or never starts) degrades
+            # to in-process execution of the unfinished shards, which
+            # produces identical results; a shard that keeps failing
+            # raises ShardExecutionError with its completed days
+            # already checkpointed for --resume.
+            with telemetry.span("shard_execution"):
+                results = run_tasks(
+                    _shard_task,
+                    [
+                        (index, indices, checkpoint, day_start, day_stop)
+                        for index, indices in enumerate(shard_indices)
+                    ],
+                    state=context,
+                    init=(_worker_context, (config,)),
+                    workers=(
+                        parallelism.workers if parallelism.uses_pool else 1
+                    ),
+                    degraded="engine.pool_degradations",
+                    recovery=recovery_of(config),
                 )
-            # Pool workers record into their own process; their
-            # snapshots ride home on the ShardResult and merge under
-            # the span that dispatched them.  (In-process shards
-            # recorded straight into the active recorder instead.)
-            for result in results:
-                if result.telemetry is not None:
-                    telemetry.absorb(
-                        result.telemetry, prefix=shard_span.path
-                    )
             feeds = self._assemble_feeds(
                 context, shard_indices, results, progress,
                 stream_dir=stream_dir,
@@ -751,169 +731,6 @@ class Simulator:
         if telemetry.enabled():
             feeds.telemetry = telemetry.snapshot()
         return feeds
-
-    # -- shard execution ---------------------------------------------------
-    def _execute_shards(
-        self,
-        context: _RunContext,
-        shard_indices: list[np.ndarray | None],
-        parallelism,
-        checkpoint: CheckpointStore | None = None,
-        *,
-        day_start: int = 0,
-        day_stop: int | None = None,
-    ) -> list[ShardResult]:
-        """Run every shard, surviving worker failures.
-
-        Transient failures are retried with the configuration's capped
-        exponential backoff (in the pool and in process alike).  A pool
-        that dies — or never starts on a sandboxed platform — degrades
-        to the in-process path, which produces identical results;
-        shards the pool already finished are kept.  A shard that fails
-        beyond its retry budget raises
-        :class:`~repro.simulation.faults.ShardExecutionError`; with a
-        checkpoint store attached its completed days survive for
-        ``--resume``.
-        """
-        recovery = recovery_of(self._config)
-        faults = FaultPlan.active(self._config)
-        results: dict[int, ShardResult] = {}
-        if parallelism.uses_pool and len(shard_indices) > 1:
-            try:
-                self._execute_pool(
-                    shard_indices, results, parallelism, recovery,
-                    checkpoint, day_start=day_start, day_stop=day_stop,
-                )
-            except _PoolLost:
-                # No usable process pool (sandboxed platform, missing
-                # semaphores, a worker hard-crashed, ...): degrade to
-                # the in-process path, which produces identical
-                # results.
-                telemetry.count("engine.pool_degradations")
-        for shard_index, indices in enumerate(shard_indices):
-            if shard_index in results:
-                continue
-            results[shard_index] = self._compute_with_retries(
-                context, shard_index, indices, recovery, checkpoint,
-                faults, day_start=day_start, day_stop=day_stop,
-            )
-        return [results[index] for index in range(len(shard_indices))]
-
-    def _compute_with_retries(
-        self,
-        context: _RunContext,
-        shard_index: int,
-        indices: np.ndarray | None,
-        recovery,
-        checkpoint: CheckpointStore | None,
-        faults: FaultPlan | None,
-        *,
-        day_start: int = 0,
-        day_stop: int | None = None,
-    ) -> ShardResult:
-        attempt = 0
-        while True:
-            try:
-                return _compute_shard(
-                    context, indices,
-                    shard_index=shard_index,
-                    checkpoint=checkpoint,
-                    faults=faults,
-                    attempt=attempt,
-                    day_start=day_start,
-                    day_stop=day_stop,
-                )
-            except CheckpointError:
-                # A corrupt checkpoint never heals by retrying; surface
-                # the precise file immediately.
-                raise
-            except Exception as err:
-                if attempt >= recovery.max_retries:
-                    raise ShardExecutionError(
-                        shard_index, attempt + 1
-                    ) from err
-                telemetry.count("engine.shard_retries")
-                _RETRY_SLEEP(recovery.delay(attempt))
-                attempt += 1
-
-    def _execute_pool(
-        self,
-        shard_indices: list[np.ndarray | None],
-        results: dict[int, ShardResult],
-        parallelism,
-        recovery,
-        checkpoint: CheckpointStore | None,
-        *,
-        day_start: int = 0,
-        day_stop: int | None = None,
-    ) -> None:
-        """Fan shard tasks over a process pool, retrying failed ones.
-
-        Fills ``results`` in place so shards finished before a pool
-        loss are kept by the degraded path.  Raises :class:`_PoolLost`
-        when the pool cannot be created or breaks mid-run.
-        """
-        from concurrent.futures import FIRST_COMPLETED, wait
-        from concurrent.futures.process import BrokenProcessPool
-
-        run_directory = (
-            None if checkpoint is None else str(checkpoint.run_directory)
-        )
-        workers = min(parallelism.workers, len(shard_indices))
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_pool_init,
-                initargs=(self._config, telemetry.enabled()),
-            ) as pool:
-                tasks = {
-                    pool.submit(
-                        _pool_compute,
-                        (index, indices, 0, run_directory,
-                         day_start, day_stop),
-                    ): (index, indices, 0)
-                    for index, indices in enumerate(shard_indices)
-                }
-                while tasks:
-                    done, _ = wait(
-                        set(tasks), return_when=FIRST_COMPLETED
-                    )
-                    for future in done:
-                        index, indices, attempt = tasks.pop(future)
-                        try:
-                            results[index] = future.result()
-                        except BrokenProcessPool as err:
-                            raise _PoolLost from err
-                        except CheckpointError:
-                            raise
-                        except Exception as err:
-                            # The worker that raised discards its
-                            # partial telemetry, so account for the
-                            # injection here, where the failure lands.
-                            if isinstance(err, InjectedFault):
-                                telemetry.count("engine.faults_injected")
-                            if attempt >= recovery.max_retries:
-                                raise ShardExecutionError(
-                                    index, attempt + 1
-                                ) from err
-                            telemetry.count("engine.shard_retries")
-                            _RETRY_SLEEP(recovery.delay(attempt))
-                            retry = (index, indices, attempt + 1)
-                            tasks[
-                                pool.submit(
-                                    _pool_compute,
-                                    (*retry, run_directory,
-                                     day_start, day_stop),
-                                )
-                            ] = retry
-        except (_PoolLost, ShardExecutionError, CheckpointError):
-            raise
-        except (OSError, ValueError, RuntimeError, ImportError) as err:
-            # The pool itself is unusable (could not start, lost its
-            # semaphores, ...) — not a task failure.
-            raise _PoolLost from err
 
     # -- merge + global stages ---------------------------------------------
     def _assemble_feeds(

@@ -182,18 +182,10 @@ class ShardDayLoad:
 
 @dataclass
 class ShardResult:
-    """Everything one shard produced: its row indices and its days.
-
-    ``telemetry`` carries a :mod:`repro.telemetry` snapshot when the
-    shard ran in a pool worker with telemetry enabled — the plain-dict
-    form crosses the process boundary and is absorbed into the
-    coordinator's recorder (in-process shards record directly and leave
-    it ``None``).
-    """
+    """Everything one shard produced: its row indices and its days."""
 
     indices: np.ndarray | None  # None = the whole population
     days: list[ShardDayLoad] = field(default_factory=list)
-    telemetry: dict | None = None
 
 
 @dataclass

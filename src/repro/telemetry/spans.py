@@ -155,6 +155,11 @@ class TelemetryRecorder:
         """A new timed section; keyword arguments seed its counters."""
         return Span(self, name, dict(counters))
 
+    @property
+    def path(self) -> str:
+        """The path of the innermost open span (``""`` at the root)."""
+        return "/".join(self._stack)
+
     def count(self, name: str, value: float = 1) -> None:
         """Increment a process-wide counter."""
         self._counters[name] = self._counters.get(name, 0) + value

@@ -12,17 +12,18 @@ and the ``analysis.*`` telemetry counters.
 
 import datetime as dt
 import io
+import shutil
 
 import numpy as np
 import pytest
 
-from repro import api, telemetry
+from repro import api, executor, telemetry
 from repro.analysis import parallel
 from repro.cli import main
 from repro.core.home import detect_homes, night_win_counts
 from repro.core.sessionize import sessionize_events
 from repro.core.statistics import compute_daily_metrics
-from repro.io import load_feeds, save_feeds
+from repro.io import RunStoreError, load_feeds, save_feeds
 from repro.simulation.clock import StudyCalendar
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import Simulator
@@ -138,29 +139,43 @@ class TestBitwiseIdentity:
             assert np.array_equal(fanned[column], eager[column])
 
 
-class TestPoolDegradation:
-    def test_lost_pool_falls_back_inline_bitwise(self, lazy, monkeypatch):
-        def explode(*args, **kwargs):
-            raise parallel._PoolLost("simulated pool death")
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Make the runner's process pool fail to start."""
 
+    def refuse(*args, **kwargs):
+        raise OSError("simulated pool death")
+
+    monkeypatch.setattr(executor, "ProcessPoolExecutor", refuse)
+
+
+class TestPoolDegradation:
+    def test_lost_pool_falls_back_inline_bitwise(self, lazy, no_pool):
         serial = compute_daily_metrics(lazy)
-        monkeypatch.setattr(parallel, "_map_pool", explode)
         fanned = compute_daily_metrics(lazy, workers=4)
         assert np.array_equal(serial.entropy, fanned.entropy)
         assert np.array_equal(serial.gyration_km, fanned.gyration_km)
 
-    def test_degradation_is_counted(self, lazy, monkeypatch, recorder):
-        monkeypatch.setattr(
-            parallel,
-            "_map_pool",
-            lambda *a, **k: (_ for _ in ()).throw(
-                parallel._PoolLost("dead")
-            ),
-        )
+    def test_degradation_is_counted(self, lazy, no_pool, recorder):
         compute_daily_metrics(lazy, workers=4)
         counters = _counters()
         assert counters.get("analysis.pool_degraded", 0) >= 1
         assert counters.get("analysis.worker_merge", 0) >= 2
+
+    def test_task_error_is_not_a_lost_pool(
+        self, run_dir, tmp_path, recorder
+    ):
+        # A corrupt shard file is the task's own error: it must surface
+        # from the pool as-is, naming the file, without the fan-out
+        # being counted as degraded and run a second time in-process.
+        copy = tmp_path / "run"
+        shutil.copytree(run_dir, copy)
+        feeds = load_feeds(copy, lazy=True)
+        victim = copy / "feeds" / "shard-0001" / "daily_dwell.npy"
+        victim.write_bytes(victim.read_bytes()[:64])
+        with pytest.raises(RunStoreError, match=r"shard-0001/daily_dwell"):
+            compute_daily_metrics(feeds, workers=2)
+        assert "analysis.pool_degraded" not in _counters()
 
 
 class TestTelemetry:

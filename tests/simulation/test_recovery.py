@@ -14,6 +14,7 @@ import datetime as dt
 
 import pytest
 
+import repro.executor as executor
 import repro.simulation.engine as engine
 from repro import telemetry
 from repro.simulation.clock import StudyCalendar
@@ -46,7 +47,7 @@ def clean_feeds():
 def fake_sleep(monkeypatch):
     """Replace the retry sleep with a recorder — no real waiting."""
     delays = []
-    monkeypatch.setattr(engine, "_RETRY_SLEEP", delays.append)
+    monkeypatch.setattr(executor, "_RETRY_SLEEP", delays.append)
     return delays
 
 
@@ -106,26 +107,32 @@ class TestFaultPlan:
 
 
 class TestRetry:
+    # workers=1 retries in process, workers=2 resubmits to the pool:
+    # the same ladder, the same counters, the same bytes.
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_flaky_shard_retried_to_success(
-        self, clean_feeds, fake_sleep, counters
+        self, clean_feeds, fake_sleep, counters, workers
     ):
         config = _config(
             fault_spec="flaky:shard=1,day=3,times=2",
             recovery=RecoverySettings(
                 max_retries=3, backoff_base_s=0.25, backoff_cap_s=4.0
             ),
-        ).with_parallelism(2)
+        ).with_parallelism(2, workers=workers)
         feeds = engine.Simulator(config).run()
         assert fake_sleep == [0.25, 0.5]
         assert counters()["engine.shard_retries"] == 2
         assert counters()["engine.faults_injected"] == 2
         assert_feeds_equivalent(clean_feeds, feeds, bitwise=True)
 
-    def test_exhausted_retries_fail_loudly(self, fake_sleep, counters):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_exhausted_retries_fail_loudly(
+        self, fake_sleep, counters, workers
+    ):
         config = _config(
             fault_spec="kill:shard=0,day=3",
             recovery=RecoverySettings(max_retries=1, backoff_base_s=0.25),
-        ).with_parallelism(2)
+        ).with_parallelism(2, workers=workers)
         with pytest.raises(ShardExecutionError, match="--resume"):
             engine.Simulator(config).run()
         assert fake_sleep == [0.25]
