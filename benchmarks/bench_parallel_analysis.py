@@ -8,8 +8,8 @@ shard layouts (the engine output is shard-count invariant, so all nine
 ``(shards, workers)`` combinations must agree):
 
 - every combination's daily metrics, detected homes and headline
-  summary hash to the same SHA-256 digests — and to the
-  ``REPRO_ANALYSIS_SERIAL=1`` oracle's;
+  summary hash to the same SHA-256 digests — and to the sequential
+  ``workers=None`` oracle's;
 - at the full (``-m slow``) size — 200k agents over the nine-week
   study calendar — parallel analysis at four workers must beat the
   serial walk by >= 2x (asserted only where the cores exist, repo
@@ -80,7 +80,7 @@ def _summary_digest(summary: dict) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _analyze(rundir: Path, workers: int) -> dict:
+def _analyze(rundir: Path, workers: int | None) -> dict:
     """Load lazily, run metrics -> homes -> summary; time the kernels."""
     from repro.core import CovidImpactStudy
     from repro.io import load_feeds
@@ -106,12 +106,8 @@ def _analyze(rundir: Path, workers: int) -> dict:
 
 
 def _analyze_serial_oracle(rundir: Path) -> dict:
-    """The differential oracle: workers requested, env forces serial."""
-    os.environ["REPRO_ANALYSIS_SERIAL"] = "1"
-    try:
-        return _analyze(rundir, workers=4)
-    finally:
-        os.environ.pop("REPRO_ANALYSIS_SERIAL", None)
+    """The differential oracle: the sequential ``workers=None`` walk."""
+    return _analyze(rundir, workers=None)
 
 
 def _bench(label: str, tmp_path: Path) -> None:

@@ -12,8 +12,8 @@ so ``ru_maxrss`` measures that phase alone, and gates three promises:
   budget, so growing the payload cannot quietly grow resident memory
   in step (absolute budgets alone would mask that at small sizes);
 - the streamed analysis sustains a minimum user-days/sec rate;
-- its output is *bitwise* identical to the ``REPRO_STORE_NAIVE=1``
-  eager oracle (compared by SHA-256 of the result arrays).
+- its output is *bitwise* identical to the eager ``lazy=False``
+  oracle (compared by SHA-256 of the result arrays).
 
 Three sizes share the machinery: a CI smoke at 30k agents, the full
 ``-m slow`` run at 1,000,000 agents (~3 minutes of simulate), and an
@@ -179,7 +179,7 @@ def _phase_simulate(rundir: Path, size: dict) -> dict:
     }
 
 
-def _phase_analyze(rundir: Path, size: dict) -> dict:
+def _phase_analyze(rundir: Path, size: dict, lazy: bool = True) -> dict:
     import time
 
     from repro.core.statistics import compute_daily_metrics
@@ -187,7 +187,7 @@ def _phase_analyze(rundir: Path, size: dict) -> dict:
     from repro.io.columnar import ShardedMobilityFeed
 
     start = time.perf_counter()
-    feeds = load_feeds(rundir, lazy=True)
+    feeds = load_feeds(rundir, lazy=lazy)
     streaming = isinstance(feeds.mobility, ShardedMobilityFeed)
     metrics = compute_daily_metrics(feeds)
     sessions = 0
@@ -196,7 +196,7 @@ def _phase_analyze(rundir: Path, size: dict) -> dict:
         # Stream the signalling partition a day at a time through
         # windowed shard maps — the whole event payload is consumed
         # while resident memory stays bounded by one day's chunks.
-        # The naive oracle loads an eager per-day dict instead; both
+        # The eager oracle loads a plain per-day dict instead; both
         # paths must hash identical sessions.
         import hashlib
 
@@ -231,16 +231,22 @@ def _phase_analyze(rundir: Path, size: dict) -> dict:
     }
 
 
-_PHASES = {"simulate": _phase_simulate, "analyze": _phase_analyze}
+def _phase_oracle(rundir: Path, size: dict) -> dict:
+    """The analyze phase over an eager ``lazy=False`` load."""
+    return _phase_analyze(rundir, size, lazy=False)
 
 
-def _run_phase(phase: str, rundir: Path, size: dict, *, naive=False) -> dict:
+_PHASES = {
+    "simulate": _phase_simulate,
+    "analyze": _phase_analyze,
+    "oracle": _phase_oracle,
+}
+
+
+def _run_phase(phase: str, rundir: Path, size: dict) -> dict:
     """Execute one phase in a fresh interpreter; return its report."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(_REPO_ROOT / "src")
-    env.pop("REPRO_STORE_NAIVE", None)
-    if naive:
-        env["REPRO_STORE_NAIVE"] = "1"
     completed = subprocess.run(
         [
             sys.executable,
@@ -276,7 +282,7 @@ def _bench(label: str, tmp_path: Path) -> None:
 
     simulate = _run_phase("simulate", rundir, size)
     analyze = _run_phase("analyze", rundir, size)
-    oracle = _run_phase("analyze", rundir, size, naive=True)
+    oracle = _run_phase("oracle", rundir, size)
 
     bitwise = (
         analyze["entropy_sha256"] == oracle["entropy_sha256"]
@@ -320,7 +326,7 @@ def _bench(label: str, tmp_path: Path) -> None:
 
     assert analyze["streaming"], "lazy load did not produce a sharded feed"
     assert not oracle["streaming"], (
-        "REPRO_STORE_NAIVE=1 did not force the eager oracle"
+        "lazy=False did not load the eager oracle"
     )
     assert bitwise, "streamed metrics diverged from the eager oracle"
     assert simulate["peak_rss_bytes"] <= size["simulate_rss_budget"], (

@@ -20,12 +20,12 @@ bitwise identical by construction for any (shards × workers), and the
 coordinator merge is a scatter into disjoint population rows (metrics,
 homes) or the stable user-partitioned sort (sessions).
 
-``REPRO_ANALYSIS_SERIAL=1`` forces the sequential walk — the
-differential oracle every parallel result is gated against.  When the
-pool cannot start or dies, the runner degrades to running the shards
-it had not finished through the identical task functions in-process;
-a task that raises (a corrupt shard file, say) raises its own error
-instead.
+``workers=None`` at the public entry points is the sequential walk —
+the differential oracle every parallel result is gated against.  When
+the pool cannot start or dies, the runner degrades to running the
+shards it had not finished through the identical task functions
+in-process; a task that raises (a corrupt shard file, say) raises its
+own error instead.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from repro import telemetry
 from repro.executor import run_tasks
 
 __all__ = [
-    "ENV_SERIAL",
     "ShardPlan",
     "map_figure_chains",
     "map_shards",
@@ -49,21 +48,7 @@ __all__ = [
     "parallel_sessionize_events",
     "plan_for",
     "resolve_workers",
-    "use_serial",
 ]
-
-#: Forces the sequential shard walk regardless of ``workers``.
-ENV_SERIAL = "REPRO_ANALYSIS_SERIAL"
-
-
-def use_serial() -> bool:
-    """Whether ``REPRO_ANALYSIS_SERIAL=1`` forces the sequential walk.
-
-    Read at call time so tests (and users) can flip the environment
-    variable between calls without reimporting.
-    """
-    return os.environ.get(ENV_SERIAL) == "1"
-
 
 def resolve_workers(workers: int | str | None) -> int:
     """Resolve a ``workers`` request to a concrete worker count.
@@ -100,11 +85,10 @@ def plan_for(feeds) -> ShardPlan | None:
 
     Eligible bundles back onto a *committed* columnar run: the bundle
     records its source directory, its mobility view is sharded with no
-    pending (uncommitted) writer, the oracle environment flags are off,
-    and the directory's manifest still describes a columnar layout with
-    the same shard count.  Callers fall back to the serial walk on
-    ``None`` — the parallel path is an optimisation, never a
-    requirement.
+    pending (uncommitted) writer, and the directory's manifest still
+    describes a columnar layout with the same shard count.  Callers
+    fall back to the serial walk on ``None`` — the parallel path is an
+    optimisation, never a requirement.
     """
     import json
 
@@ -112,10 +96,6 @@ def plan_for(feeds) -> ShardPlan | None:
     mobility = feeds.mobility
     shards = getattr(mobility, "shards", None)
     if directory is None or shards is None:
-        return None
-    from repro.io import columnar
-
-    if columnar.use_naive() or use_serial():
         return None
     if getattr(mobility, "pending_writer", None) is not None:
         return None
@@ -217,7 +197,6 @@ def _task_metrics(
     *,
     gyration_mode: str,
     top_towers: int,
-    batch_days: int | None,
     day_lo: int,
     day_hi: int,
 ):
@@ -233,7 +212,6 @@ def _task_metrics(
         state.site_lons,
         gyration_mode=gyration_mode,
         top_towers=top_towers,
-        batch_days=batch_days,
         day_lo=day_lo,
         day_hi=day_hi,
     )
@@ -287,14 +265,13 @@ def map_shards(
     """Run per-shard ``tasks`` over ``plan``, preserving task order.
 
     Each task is ``(task_name, shard_index, kwargs)``.  With
-    ``workers`` > 1 (and the serial oracle off) the tasks run in a
-    process pool whose initializer hands every worker the plan — the
-    workers open their own shard maps.  A pool that cannot start or
-    dies degrades to executing the unfinished tasks in-process
-    (counted as ``analysis.pool_degraded``); results are bitwise the
-    same either way.  Worker telemetry snapshots are absorbed under the
-    dispatching span, and every merged payload counts
-    ``analysis.worker_merge``.
+    ``workers`` > 1 the tasks run in a process pool whose initializer
+    hands every worker the plan — the workers open their own shard
+    maps.  A pool that cannot start or dies degrades to executing the
+    unfinished tasks in-process (counted as ``analysis.pool_degraded``);
+    results are bitwise the same either way.  Worker telemetry
+    snapshots are absorbed under the dispatching span, and every merged
+    payload counts ``analysis.worker_merge``.
     """
     if not tasks:
         return []
@@ -305,7 +282,7 @@ def map_shards(
             tasks,
             state=_WorkerState(plan, site_lats, site_lons),
             init=(_WorkerState, (plan, site_lats, site_lons)),
-            workers=1 if use_serial() else workers,
+            workers=workers,
             degraded="analysis.pool_degraded",
         )
         telemetry.count("analysis.worker_merge", len(tasks))
@@ -318,7 +295,6 @@ def parallel_daily_metrics(
     *,
     gyration_mode: str,
     top_towers: int,
-    batch_days: int | None,
     day_range: tuple[int, int] | None,
     workers: int,
 ):
@@ -353,7 +329,6 @@ def parallel_daily_metrics(
     kwargs = dict(
         gyration_mode=gyration_mode,
         top_towers=top_towers,
-        batch_days=batch_days,
         day_lo=day_lo,
         day_hi=day_hi,
     )

@@ -11,7 +11,6 @@ parameters so the home-detection ablation can vary them.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,16 +105,12 @@ def night_win_counts(
     mobility = feeds.mobility
     window_days = np.asarray(window_days)
     shards = getattr(mobility, "shards", None)
-    if shards is not None and os.environ.get("REPRO_STORE_NAIVE") != "1":
+    num_users = mobility.num_users
+    k = mobility.anchor_sites.shape[1]
+    if shards is not None:
         from repro.analysis import parallel as _parallel
 
-        num_users = mobility.num_users
-        k = mobility.anchor_sites.shape[1]
-        if (
-            workers is not None
-            and _parallel.resolve_workers(workers) > 1
-            and not _parallel.use_serial()
-        ):
+        if workers is not None and _parallel.resolve_workers(workers) > 1:
             plan = _parallel.plan_for(feeds)
             if plan is not None:
                 return _parallel.parallel_night_win_counts(
@@ -133,8 +128,6 @@ def night_win_counts(
                 shard, window_days
             )
         return win_counts
-    num_users = mobility.num_users
-    k = mobility.anchor_sites.shape[1]
     win_counts = np.zeros((num_users, k), dtype=np.int64)
     rows = np.arange(num_users)
     for day in window_days:

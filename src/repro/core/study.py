@@ -425,7 +425,6 @@ class CovidImpactStudy:
         explicit = (
             self._workers is not None
             and _parallel.resolve_workers(self._workers) > 1
-            and not _parallel.use_serial()
         )
         directory = getattr(self._feeds, "source_directory", None)
         processes = (

@@ -38,9 +38,8 @@ Three cooperating pieces:
   demand) or eager (:func:`materialize` rebuilds the plain in-memory
   :class:`~repro.simulation.feeds.MobilityFeed`).
 
-``REPRO_STORE_NAIVE=1`` (read at call time, like the other naive
-switches) forces the eager in-memory path everywhere — it is the
-differential oracle the streaming results are asserted bitwise against.
+Opening eagerly (``load_feeds(..., lazy=False)``) is the differential
+oracle the streaming results are asserted bitwise against.
 
 Telemetry: ``store.bytes_mapped`` counts bytes opened for on-demand
 mapping, ``store.shards_streamed`` counts shard partitions fed through
@@ -81,7 +80,6 @@ __all__ = [
     "segment_relative_paths",
     "shard_dir_name",
     "shard_relative_paths",
-    "use_naive",
     "window_days",
 ]
 
@@ -112,15 +110,6 @@ EVENT_COLUMNS = (
 )
 
 _EVENT_OFFSETS = "events_offsets.npy"
-
-
-def use_naive() -> bool:
-    """Whether ``REPRO_STORE_NAIVE=1`` forces the in-memory oracle path.
-
-    Read at call time so tests (and users) can flip the environment
-    variable between calls without reimporting.
-    """
-    return os.environ.get("REPRO_STORE_NAIVE") == "1"
 
 
 def shard_dir_name(index: int) -> str:

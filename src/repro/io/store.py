@@ -587,8 +587,8 @@ def _read_mobility_v2(
     """Open the columnar partition described by the manifest.
 
     ``lazy`` keeps the dwell stacks memory-mapped (the
-    :class:`ShardedMobilityFeed` view); otherwise — and always under
-    ``REPRO_STORE_NAIVE=1`` — the plain in-memory feed is rebuilt.
+    :class:`ShardedMobilityFeed` view); otherwise the plain in-memory
+    feed is rebuilt.
     """
     block = manifest.get("feeds")
     if not isinstance(block, dict) or block.get("layout") != "columnar":
@@ -605,11 +605,8 @@ def _read_mobility_v2(
             path=path / _MANIFEST,
         )
     segments = _read_segments(path, block)
-    effective_lazy = lazy and not columnar.use_naive()
-    sharded = open_columnar(
-        path, num_shards, lazy=effective_lazy, segments=segments
-    )
-    if effective_lazy:
+    sharded = open_columnar(path, num_shards, lazy=lazy, segments=segments)
+    if lazy:
         return sharded
     return materialize(sharded)
 
@@ -681,9 +678,9 @@ def load_feeds(directory: str | Path, *, lazy: bool = False) -> DataFeeds:
     memory-mapped shard by shard instead of materialized: the returned
     bundle's ``mobility`` is a :class:`~repro.io.columnar.
     ShardedMobilityFeed` whose day matrices are assembled on demand,
-    so analysis peak memory is bounded by one shard × a day batch
-    rather than the whole population.  ``REPRO_STORE_NAIVE=1`` forces
-    the eager in-memory path regardless (the differential oracle).
+    so analysis peak memory is bounded by one shard-day rather than
+    the whole population.  The eager default is the differential
+    oracle the streamed results are checked against.
 
     Raises :class:`RunStoreError` naming the offending file when the
     directory is missing, interrupted, partial, or corrupt.
@@ -734,19 +731,15 @@ def load_feeds(directory: str | Path, *, lazy: bool = False) -> DataFeeds:
     signaling = None
     events_block = feeds_block.get("events")
     if isinstance(events_block, dict):
-        effective_lazy = lazy and not columnar.use_naive()
         event_feed = columnar.open_events(
             path,
             int(feeds_block.get("num_shards", 1)),
             int(manifest["num_days"]),
-            lazy=effective_lazy,
+            lazy=lazy,
         )
         # Lazy loads keep the day frames as windowed per-shard maps;
-        # eager loads (and the REPRO_STORE_NAIVE=1 oracle) rebuild the
-        # engine's plain per-day dict.
-        signaling = (
-            event_feed if effective_lazy else event_feed.materialize()
-        )
+        # eager loads rebuild the engine's plain per-day dict.
+        signaling = event_feed if lazy else event_feed.materialize()
     live = manifest.get("live")
     calendar = config.calendar
     if isinstance(live, dict) and mobility.num_days < calendar.num_days:

@@ -654,8 +654,8 @@ class Simulator:
         is a lazily assembled view over the (uncommitted) partition;
         :func:`repro.io.save_feeds` to the same directory commits it
         in place without rewriting.  Identical bytes and results to
-        the in-memory path; ``REPRO_STORE_NAIVE=1`` disables the
-        streaming for differential testing.
+        the in-memory path (``stream_dir=None`` followed by
+        :func:`repro.io.save_feeds`), which is the differential oracle.
 
         When :mod:`repro.telemetry` is enabled, the run records a
         ``simulate`` span tree (world build, shard execution, per-day
@@ -811,15 +811,14 @@ class Simulator:
         if stream_dir is not None:
             from repro.io import columnar
 
-            if not columnar.use_naive():
-                stream_writer = columnar.ColumnarWriter(
-                    stream_dir,
-                    shard_indices,
-                    agents.user_ids,
-                    agents.anchor_sites,
-                    day_stop - day_start,
-                    day_offset=day_start,
-                )
+            stream_writer = columnar.ColumnarWriter(
+                stream_dir,
+                shard_indices,
+                agents.user_ids,
+                agents.anchor_sites,
+                day_stop - day_start,
+                day_offset=day_start,
+            )
         mobility = (
             None
             if stream_writer is not None
@@ -843,9 +842,7 @@ class Simulator:
             and day_start == 0
             and day_stop == int(calendar.num_days)
         ):
-            from repro.io import columnar as _columnar
-
-            events_writer = _columnar.EventsWriter(
+            events_writer = columnar.EventsWriter(
                 stream_dir, len(shard_indices), day_stop - day_start
             )
             signaling_frames = None

@@ -11,7 +11,7 @@ that fact directly, property-based where the order space is large:
 - night counts over disjoint day windows simply *add* (the live-run
   incremental identity);
 - and the full ``(shards x workers)`` grid of public entry points
-  agrees with the ``REPRO_ANALYSIS_SERIAL=1`` oracle.
+  agrees with the sequential ``workers=None`` oracle.
 """
 
 import datetime as dt
@@ -21,7 +21,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import parallel
 from repro.core.home import (
     detect_homes,
     finalize_homes,
@@ -109,7 +108,6 @@ class TestShardOrderIndependence:
                 site_lons,
                 gyration_mode="weighted",
                 top_towers=20,
-                batch_days=None,
                 day_lo=0,
                 day_hi=mobility.num_days,
             )
@@ -145,18 +143,14 @@ class TestWindowAdditivity:
 
 
 class TestGridVsSerialOracle:
-    """Every (shards, workers) combo equals REPRO_ANALYSIS_SERIAL=1."""
+    """Every (shards, workers) combo equals the ``workers=None`` walk."""
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_metrics_and_homes(
-        self, run_dirs, shards, workers, monkeypatch
-    ):
+    def test_metrics_and_homes(self, run_dirs, shards, workers):
         lazy = load_feeds(run_dirs[shards], lazy=True)
-        monkeypatch.setenv(parallel.ENV_SERIAL, "1")
-        serial_metrics = compute_daily_metrics(lazy, workers=workers)
-        serial_homes = detect_homes(lazy, min_nights=3, workers=workers)
-        monkeypatch.delenv(parallel.ENV_SERIAL)
+        serial_metrics = compute_daily_metrics(lazy, workers=None)
+        serial_homes = detect_homes(lazy, min_nights=3, workers=None)
         fanned_metrics = compute_daily_metrics(lazy, workers=workers)
         fanned_homes = detect_homes(lazy, min_nights=3, workers=workers)
         assert np.array_equal(

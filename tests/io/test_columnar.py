@@ -3,12 +3,11 @@
 The out-of-core layout (:mod:`repro.io.columnar`) promises that nothing
 observable changes when the mobility feed lives on disk instead of in
 RAM: a save → load round-trip is *bitwise* identical for every shard
-count, the streamed ``compute_daily_metrics`` path reproduces the
-in-memory batch path byte for byte, and the ``REPRO_STORE_NAIVE=1``
-oracle forces the historical eager path everywhere so the two can be
-diffed.  This module pins each of those promises, plus the degenerate
-populations (zero and one filtered user) and the ``store.*`` telemetry
-counters.
+count, and the streamed ``compute_daily_metrics`` path reproduces both
+the in-memory path and an eager ``lazy=False`` load of the same run
+byte for byte.  This module pins each of those promises, plus the
+degenerate populations (zero and one filtered user) and the
+``store.*`` telemetry counters.
 """
 
 import datetime as dt
@@ -131,24 +130,27 @@ class TestStreamedMetrics:
     def test_streamed_matches_in_memory(self, lazy_run):
         lazy = load_feeds(lazy_run, lazy=True)
         assert isinstance(lazy.mobility, ShardedMobilityFeed)
-        streamed = compute_daily_metrics(lazy)
-        in_memory = compute_daily_metrics(_feeds(4))
-        assert streamed.entropy.dtype == in_memory.entropy.dtype
-        assert np.array_equal(streamed.entropy, in_memory.entropy)
-        assert np.array_equal(streamed.gyration_km, in_memory.gyration_km)
-        assert np.array_equal(streamed.user_ids, in_memory.user_ids)
+        feeds = _feeds(4)
+        # A cut below the anchor count exercises the argpartition
+        # branch of the top-tower filter on both paths.
+        k = feeds.mobility.anchor_sites.shape[1]
+        for top_towers in (20, max(1, k - 2)):
+            streamed = compute_daily_metrics(lazy, top_towers=top_towers)
+            in_memory = compute_daily_metrics(feeds, top_towers=top_towers)
+            assert streamed.entropy.dtype == in_memory.entropy.dtype
+            assert np.array_equal(streamed.entropy, in_memory.entropy)
+            assert np.array_equal(
+                streamed.gyration_km, in_memory.gyration_km
+            )
+            assert np.array_equal(streamed.user_ids, in_memory.user_ids)
 
-    def test_streamed_matches_naive_oracle(self, lazy_run, monkeypatch):
+    def test_streamed_matches_naive_oracle(self, lazy_run):
         streamed = compute_daily_metrics(load_feeds(lazy_run, lazy=True))
-        monkeypatch.setenv("REPRO_STORE_NAIVE", "1")
-        oracle = compute_daily_metrics(load_feeds(lazy_run, lazy=True))
+        eager = load_feeds(lazy_run, lazy=False)
+        assert isinstance(eager.mobility, MobilityFeed)
+        oracle = compute_daily_metrics(eager)
         assert np.array_equal(streamed.entropy, oracle.entropy)
         assert np.array_equal(streamed.gyration_km, oracle.gyration_km)
-
-    def test_naive_env_forces_eager_load(self, lazy_run, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_NAIVE", "1")
-        loaded = load_feeds(lazy_run, lazy=True)
-        assert isinstance(loaded.mobility, MobilityFeed)
 
     def test_gyration_modes_stream_identically(self, lazy_run):
         lazy = load_feeds(lazy_run, lazy=True)

@@ -141,14 +141,9 @@ class TestRoundTrip:
         # No stray temporaries survive a completed save.
         assert not list(path.rglob("*.tmp"))
 
-    def test_lazy_load_matches_eager(
-        self, run_feeds, reloaded, tmp_path, monkeypatch
-    ):
+    def test_lazy_load_matches_eager(self, run_feeds, reloaded, tmp_path):
         from repro.io.columnar import ShardedMobilityFeed
 
-        # The naive-oracle switch materializes lazy loads by design;
-        # this test pins the lazy path itself.
-        monkeypatch.delenv("REPRO_STORE_NAIVE", raising=False)
         path = save_feeds(run_feeds, tmp_path / "lazy")
         lazy = load_feeds(path, lazy=True)
         assert isinstance(lazy.mobility, ShardedMobilityFeed)
