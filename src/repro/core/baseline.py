@@ -24,6 +24,7 @@ from repro.simulation.clock import BASELINE_WEEK
 
 __all__ = [
     "daily_pct_change",
+    "WeekSegments",
     "weekly_median_delta",
     "weekly_mean",
     "weekly_mean_stack",
@@ -126,31 +127,58 @@ def weekly_median_delta(
     ``values`` are per-observation (cell × day) metric values, ``weeks``
     the ISO week of each observation. Returns (weeks, delta_pct).
     """
-    values = np.asarray(values, dtype=np.float64)
-    weeks = np.asarray(weeks)
-    if values.shape != weeks.shape:
-        raise ValueError("values and weeks must align")
-    if kernels.use_naive():
-        return _naive_weekly_median_delta(
-            values, weeks, baseline_week, baseline_value, percentile
-        )
-    unique_weeks, order, starts, ends = _week_segments(weeks)
-    sorted_values = kernels.sort_within_segments(values[order], starts, ends)
-    per_week = kernels.presorted_percentile(
-        sorted_values, starts, ends, percentile
+    return WeekSegments(weeks).median_delta(
+        values, baseline_week, baseline_value, percentile
     )
-    if baseline_value is None:
-        baseline_index = np.searchsorted(unique_weeks, baseline_week)
-        if (
-            baseline_index >= unique_weeks.size
-            or unique_weeks[baseline_index] != baseline_week
-        ):
-            raise ValueError(f"no observations in week {baseline_week}")
-        baseline_value = float(per_week[baseline_index])
-    if baseline_value == 0:
-        raise ValueError("baseline value is zero")
-    deltas = (per_week / baseline_value - 1.0) * 100.0
-    return unique_weeks, deltas
+
+
+class WeekSegments:
+    """One factorization of a week column, shared by many value columns.
+
+    :func:`weekly_median_delta` factorizes its ``weeks`` on every call;
+    a caller that reduces several metrics over the same observations
+    (the KPIs of one figure) builds this once and calls
+    :meth:`median_delta` per metric, with bitwise the same result.
+    """
+
+    def __init__(self, weeks: np.ndarray) -> None:
+        self.weeks = np.asarray(weeks)
+        self._segments = _week_segments(self.weeks)
+
+    def median_delta(
+        self,
+        values: np.ndarray,
+        baseline_week: int = BASELINE_WEEK,
+        baseline_value: float | None = None,
+        percentile: float = 50.0,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(weeks, delta_pct) of ``values``, aligned with the weeks."""
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != self.weeks.shape:
+            raise ValueError("values and weeks must align")
+        if kernels.use_naive():
+            return _naive_weekly_median_delta(
+                values, self.weeks, baseline_week, baseline_value, percentile
+            )
+        unique_weeks, order, starts, ends = self._segments
+        sorted_values = kernels.sort_within_segments(
+            values[order], starts, ends
+        )
+        per_week = kernels.presorted_percentile(
+            sorted_values, starts, ends, percentile
+        )
+        if baseline_value is None:
+            baseline_index = np.searchsorted(unique_weeks, baseline_week)
+            if (
+                baseline_index >= unique_weeks.size
+                or unique_weeks[baseline_index] != baseline_week
+            ):
+                raise ValueError(f"no observations in week {baseline_week}")
+            baseline_value = float(per_week[baseline_index])
+        if baseline_value == 0:
+            raise ValueError("baseline value is zero")
+        deltas = (per_week / baseline_value - 1.0) * 100.0
+        return unique_weeks, deltas
 
 
 def _naive_weekly_median_delta(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.metrics import mobility_entropy, radius_of_gyration
+from repro.core.metrics import AnchorPlan
 from repro.mobility.trajectories import NUM_BINS
 from repro.simulation.feeds import DataFeeds
 
@@ -63,8 +63,7 @@ def compute_bin_metrics(
         )
     site_lats, site_lons = feeds.site_locations()
     anchors = mobility.anchor_sites
-    lats = site_lats[anchors]
-    lons = site_lons[anchors]
+    plan = AnchorPlan(anchors, site_lats[anchors], site_lons[anchors])
 
     num_days = mobility.num_days
     entropy = np.empty((num_days, NUM_BINS))
@@ -73,10 +72,8 @@ def compute_bin_metrics(
         bins = mobility.bin_dwell[day].astype(np.float64)
         for bin_index in range(NUM_BINS):
             dwell = bins[:, bin_index, :]
-            entropy[day, bin_index] = mobility_entropy(
-                dwell, anchors
-            ).mean()
-            gyration[day, bin_index] = radius_of_gyration(
-                dwell, lats, lons, mode=gyration_mode
+            entropy[day, bin_index] = plan.entropy(dwell).mean()
+            gyration[day, bin_index] = plan.gyration(
+                dwell, gyration_mode
             ).mean()
     return BinMetrics(entropy=entropy, gyration_km=gyration)

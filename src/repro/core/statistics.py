@@ -3,19 +3,24 @@
 The paper computes, for every user and every day, the time spent on
 each visited tower (keeping the top-20 towers), then the entropy and
 radius of gyration, then aggregates. :func:`compute_daily_metrics` does
-exactly that over the whole study window, one kernel call per day: the
-day's ``(users, K)`` dwell matrix is copied into one reused float64
-work buffer, cut to the top towers and fed through the row-vectorized
+exactly that over the whole study window, one kernel call per day.
+Everything that depends only on the anchor towers — the per-row tower
+sort for entropy, the planar projection for gyration — is built once
+per shard as a :class:`~repro.core.metrics.AnchorPlan`; each day the
+``(users, K)`` dwell matrix is copied into one reused float64 work
+buffer, cut to the top towers and run through the plan's entropy and
+gyration, which are the same kernels as the one-shot
 :func:`~repro.core.metrics.mobility_entropy` and
-:func:`~repro.core.metrics.radius_of_gyration` kernels.
+:func:`~repro.core.metrics.radius_of_gyration`.
 
 A lazily loaded run (``load_feeds(..., lazy=True)``) hands this module
 a :class:`~repro.io.columnar.ShardedMobilityFeed`; the computation then
-*streams* shard by shard straight off the memory-mapped partition —
-peak memory is one shard × one day, independent of the population.
-Both kernels are strictly row-independent, so the scattered results
-are bitwise identical to the in-memory path (``lazy=False``), which is
-the streaming path's differential oracle.
+*streams* shard by shard straight off the memory-mapped partition,
+mapping a window of at most :data:`WINDOW_DAYS` days at a time — peak
+memory is one shard × one window, independent of the population and
+of the study length. Both kernels are strictly row-independent, so the
+scattered results are bitwise identical to the in-memory path
+(``lazy=False``), which is the streaming path's differential oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import telemetry
-from repro.core.metrics import mobility_entropy, radius_of_gyration
+from repro.core.metrics import AnchorPlan
 from repro.simulation.feeds import DataFeeds
 
 __all__ = [
@@ -34,6 +39,11 @@ __all__ = [
     "shard_metric_blocks",
     "top_tower_filter",
 ]
+
+#: Days of dwell one streaming read maps at a time: a week, so a shard
+#: walk opens each segment file ~14 times over the study, not 98, while
+#: its resident set stays bounded by one window.
+WINDOW_DAYS = 7
 
 @dataclass
 class MobilityDailyMetrics:
@@ -187,7 +197,7 @@ def compute_daily_metrics(
     site_lats, site_lons = feeds.site_locations()
     day_lo, day_hi = _normalize_day_range(day_range, mobility.num_days)
     entropy, gyration = _daily_blocks(
-        mobility.dwell,
+        lambda lo, hi: mobility.daily_dwell[lo:hi],
         mobility.anchor_sites,
         site_lats,
         site_lons,
@@ -212,12 +222,13 @@ def _compute_daily_metrics_stream(
     """Shard-streaming metrics over a lazily mapped columnar run.
 
     One shard at a time, each day of that shard's dwell rows is read
-    off the memory map into the float64 work buffer, filtered and fed
-    through the kernels, and the results scattered into the output
-    matrices at the shard's population rows.  Both kernels are strictly
-    row-independent and the float64→float32 store is elementwise, so
-    the result is bitwise identical to the in-memory path — peak memory
-    is ``O(shard)`` instead of ``O(population × days)``.
+    off a window of the memory map into the float64 work buffer,
+    filtered and fed through the kernels, and the results scattered
+    into the output matrices at the shard's population rows.  Both
+    kernels are strictly row-independent and the float64→float32 store
+    is elementwise, so the result is bitwise identical to the in-memory
+    path — peak memory is ``O(shard × WINDOW_DAYS)`` instead of
+    ``O(population × days)``.
     """
     mobility = feeds.mobility
     site_lats, site_lons = feeds.site_locations()
@@ -270,16 +281,16 @@ def shard_metric_blocks(
     identical by construction and the only difference is where the
     scatter into the population-wide matrices happens.
 
-    Dwell days are read one at a time through
-    :func:`repro.io.columnar.window_days`: each day's window maps fresh
-    and is released once copied into the reused ``(rows, K)`` float64
-    buffer, keeping the walk's resident set bounded by one shard-day
-    (the persistent shard maps are never touched here).
+    Dwell days are read a window of at most :data:`WINDOW_DAYS` at a
+    time through :func:`repro.io.columnar.window_days`: each window maps
+    fresh and is released once its days are consumed, keeping the
+    walk's resident set bounded by one window of the shard (the
+    persistent shard maps are never touched here).
     """
     from repro.io.columnar import window_days
 
     return _daily_blocks(
-        lambda day: window_days(shard, "daily_dwell", day, day + 1)[0],
+        lambda lo, hi: window_days(shard, "daily_dwell", lo, hi),
         shard.anchor_sites,
         site_lats,
         site_lons,
@@ -291,7 +302,7 @@ def shard_metric_blocks(
 
 
 def _daily_blocks(
-    read_dwell,
+    read_window,
     anchor_sites: np.ndarray,
     site_lats: np.ndarray,
     site_lons: np.ndarray,
@@ -303,20 +314,26 @@ def _daily_blocks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Entropy/gyration ``(num_days, rows)`` blocks, one kernel call a day.
 
-    ``read_dwell(day)`` returns that day's ``(rows, K)`` dwell matrix;
-    it is copied into one reused float64 buffer, cut to the top towers
-    and dropped before the next day is read.
+    One anchor plan serves every day. ``read_window(lo, hi)``
+    returns the ``(rows, K)`` dwell matrices of days ``[lo, hi)``, at
+    most :data:`WINDOW_DAYS` of them; each is copied into one reused
+    float64 buffer, cut to the top towers and run through the plan, and
+    the window is dropped before the next one is read.
     """
-    lats = site_lats[anchor_sites]
-    lons = site_lons[anchor_sites]
+    plan = AnchorPlan(
+        anchor_sites, site_lats[anchor_sites], site_lons[anchor_sites]
+    )
     rows = anchor_sites.shape[0]
     entropy = np.empty((day_hi - day_lo, rows), dtype=np.float32)
     gyration = np.empty((day_hi - day_lo, rows), dtype=np.float32)
     buffer = np.empty(anchor_sites.shape, dtype=np.float64)
-    for day in range(day_lo, day_hi):
-        dwell = top_tower_filter(read_dwell(day), top_towers, out=buffer)
-        entropy[day - day_lo] = mobility_entropy(dwell, anchor_sites)
-        gyration[day - day_lo] = radius_of_gyration(
-            dwell, lats, lons, mode=gyration_mode
-        )
+    for lo in range(day_lo, day_hi, WINDOW_DAYS):
+        window = read_window(lo, min(lo + WINDOW_DAYS, day_hi))
+        for offset in range(len(window)):
+            dwell = top_tower_filter(window[offset], top_towers, out=buffer)
+            entropy[lo - day_lo + offset] = plan.entropy(dwell)
+            gyration[lo - day_lo + offset] = plan.gyration(
+                dwell, gyration_mode
+            )
+        del window
     return entropy, gyration

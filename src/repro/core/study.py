@@ -56,7 +56,7 @@ from repro.core.mobility_series import (
 from repro.core.performance import (
     PERF_METRICS,
     WeeklySeries,
-    performance_series,
+    performance_panels,
 )
 from repro.core.relocation import RelocationMatrix, relocation_matrix
 from repro.core.report import render_series_block
@@ -297,14 +297,11 @@ class CovidImpactStudy:
             return self._artifact(
                 name,
                 {"percentile": 50.0},
-                lambda: {
-                    metric: performance_series(
-                        self._feeds, metric, grouping=grouping,
-                        restrict_county=county,
-                        labeled=self.labeled_kpis,
-                    )
-                    for metric in PERF_METRICS
-                },
+                lambda: performance_panels(
+                    self._feeds, PERF_METRICS, grouping=grouping,
+                    restrict_county=county,
+                    labeled=self.labeled_kpis,
+                ),
             )
 
     @_memoized

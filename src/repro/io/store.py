@@ -678,8 +678,8 @@ def load_feeds(directory: str | Path, *, lazy: bool = False) -> DataFeeds:
     memory-mapped shard by shard instead of materialized: the returned
     bundle's ``mobility`` is a :class:`~repro.io.columnar.
     ShardedMobilityFeed` whose day matrices are assembled on demand,
-    so analysis peak memory is bounded by one shard-day rather than
-    the whole population.  The eager default is the differential
+    so analysis peak memory is bounded by one shard's window of days
+    rather than the whole population.  The eager default is the differential
     oracle the streamed results are checked against.
 
     Raises :class:`RunStoreError` naming the offending file when the

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core import mobility_entropy, radius_of_gyration
+from repro.core.metrics import AnchorPlan
+from repro.core.statistics import top_tower_filter
 
 
 class TestEntropy:
@@ -206,3 +208,157 @@ class TestGyration:
         base = radius_of_gyration(dwell, lats, lons)
         shifted = radius_of_gyration(dwell, lats + 0.7, lons)
         assert np.allclose(base, shifted, rtol=0.02)
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic properties over random (rows, K) dwell matrices
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def anchor_days(draw):
+    """One day of a population: dwell, anchor tower ids and coordinates.
+
+    Few distinct towers make duplicate anchors common, about a quarter
+    of the rows have no dwell at all, and K ranges past the top-tower
+    cut-off, which the day is filtered through as the pipeline does.
+    """
+    rows = draw(st.integers(min_value=1, max_value=12))
+    k = draw(st.integers(min_value=1, max_value=28))
+    towers = draw(st.integers(min_value=1, max_value=k + 2))
+    top_towers = draw(st.integers(min_value=1, max_value=20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sites = rng.integers(0, towers, (rows, k))
+    dwell = rng.random((rows, k)) * 3600.0 * (rng.random((rows, k)) < 0.7)
+    dwell[rng.random(rows) < 0.25] = 0.0
+    dwell = top_tower_filter(dwell, top_towers)
+    tower_lats = 50.0 + rng.random(towers) * 5.0
+    tower_lons = -4.0 + rng.random(towers) * 5.0
+    return dwell, sites, tower_lats, tower_lons
+
+
+def both_metrics(dwell, sites, tower_lats, tower_lons):
+    return (
+        mobility_entropy(dwell, sites),
+        radius_of_gyration(dwell, tower_lats[sites], tower_lons[sites]),
+    )
+
+
+class TestMetamorphic:
+    @given(day=anchor_days(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_row_permutation_permutes_outputs(self, day, seed):
+        dwell, sites, tower_lats, tower_lons = day
+        perm = np.random.default_rng(seed).permutation(dwell.shape[0])
+        entropy, gyration = both_metrics(dwell, sites, tower_lats, tower_lons)
+        p_entropy, p_gyration = both_metrics(
+            dwell[perm], sites[perm], tower_lats, tower_lons
+        )
+        # Both kernels are row-independent: exact, not approximate.
+        assert np.array_equal(p_entropy, entropy[perm])
+        assert np.array_equal(p_gyration, gyration[perm])
+
+    @given(day=anchor_days(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_tower_relabelling_leaves_metrics_unchanged(self, day, seed):
+        dwell, sites, tower_lats, tower_lons = day
+        rng = np.random.default_rng(seed)
+        towers = tower_lats.size
+        relabel = rng.permutation(towers) * 7 + 1000
+        # A tower keeps its coordinates under its new id.
+        new_lats = np.empty(relabel.max() + 1)
+        new_lons = np.empty(relabel.max() + 1)
+        new_lats[relabel] = tower_lats
+        new_lons[relabel] = tower_lons
+        entropy, gyration = both_metrics(dwell, sites, tower_lats, tower_lons)
+        r_entropy, r_gyration = both_metrics(
+            dwell, relabel[sites], new_lats, new_lons
+        )
+        assert np.allclose(r_entropy, entropy)
+        assert np.allclose(r_gyration, gyration)
+
+    @given(day=anchor_days())
+    @settings(max_examples=80, deadline=None)
+    def test_entropy_within_log_of_distinct_towers(self, day):
+        dwell, sites, _, _ = day
+        entropy = mobility_entropy(dwell, sites)
+        distinct = np.array([np.unique(row).size for row in sites])
+        assert np.all(entropy >= 0.0)
+        assert np.all(entropy <= np.log(distinct) + 1e-12)
+
+    @given(day=anchor_days(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_single_tower_row_has_zero_gyration(self, day, seed):
+        dwell, sites, tower_lats, tower_lons = day
+        rng = np.random.default_rng(seed)
+        # Move every anchor that has dwell in row 0 onto one tower.
+        tower = rng.integers(0, tower_lats.size)
+        sites = sites.copy()
+        sites[0, dwell[0] > 0] = tower
+        entropy, gyration = both_metrics(dwell, sites, tower_lats, tower_lons)
+        assert gyration[0] == pytest.approx(0.0, abs=1e-9)
+        assert entropy[0] == 0.0
+
+    @given(day=anchor_days())
+    @settings(max_examples=80, deadline=None)
+    def test_zero_dwell_rows_are_zero(self, day):
+        dwell, sites, tower_lats, tower_lons = day
+        dwell = dwell.copy()
+        dwell[-1] = 0.0
+        entropy, gyration = both_metrics(dwell, sites, tower_lats, tower_lons)
+        idle = dwell.sum(axis=1) == 0
+        assert np.all(entropy[idle] == 0.0)
+        assert np.all(gyration[idle] == 0.0)
+
+    @given(day=anchor_days(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_negative_dwell_raises(self, day, seed):
+        dwell, sites, tower_lats, tower_lons = day
+        rng = np.random.default_rng(seed)
+        dwell = dwell.copy()
+        dwell[rng.integers(dwell.shape[0]), rng.integers(dwell.shape[1])] = -1.0
+        with pytest.raises(ValueError, match="negative"):
+            mobility_entropy(dwell, sites)
+        with pytest.raises(ValueError, match="negative"):
+            radius_of_gyration(dwell, tower_lats[sites], tower_lons[sites])
+        plan = AnchorPlan(sites, tower_lats[sites], tower_lons[sites])
+        with pytest.raises(ValueError, match="negative"):
+            plan.entropy(dwell)
+        with pytest.raises(ValueError, match="negative"):
+            plan.gyration(dwell)
+
+
+class TestAnchorPlan:
+    @given(day=anchor_days(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_reused_plan_matches_one_shot_kernels(self, day, seed):
+        # One plan serves many dwell matrices (the days of a shard);
+        # every result is bitwise the one-shot kernel's.
+        dwell, sites, tower_lats, tower_lons = day
+        lats, lons = tower_lats[sites], tower_lons[sites]
+        plan = AnchorPlan(sites, lats, lons)
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            day_dwell = dwell * rng.random(dwell.shape)
+            assert np.array_equal(
+                plan.entropy(day_dwell), mobility_entropy(day_dwell, sites)
+            )
+            for mode in ("weighted", "paper"):
+                assert np.array_equal(
+                    plan.gyration(day_dwell, mode),
+                    radius_of_gyration(day_dwell, lats, lons, mode=mode),
+                )
+
+    def test_shape_mismatch_rejected(self):
+        plan = AnchorPlan(np.array([[1, 2]]))
+        with pytest.raises(ValueError, match="shape"):
+            plan.entropy(np.array([[1.0, 2.0, 3.0]]))
+
+    def test_missing_half_rejected(self):
+        sites = np.array([[1, 2]])
+        with pytest.raises(ValueError, match="coordinates"):
+            AnchorPlan(sites).gyration(np.array([[1.0, 2.0]]))
+        with pytest.raises(ValueError, match="sites"):
+            AnchorPlan(lats=sites * 1.0, lons=sites * 1.0).entropy(
+                np.array([[1.0, 2.0]])
+            )

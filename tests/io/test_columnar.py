@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import api, telemetry
-from repro.core.statistics import compute_daily_metrics
+from repro.core.statistics import WINDOW_DAYS, compute_daily_metrics
 from repro.io import load_feeds, save_feeds
 from repro.io.columnar import (
     SHARD_COLUMNS,
@@ -283,6 +283,16 @@ class TestStoreCounters:
         )
         counters = telemetry.snapshot()["counters"]
         assert counters["store.shards_streamed"] == nonempty > 0
+
+    def test_streaming_maps_one_window_per_week(self, lazy_run, recorder):
+        lazy = load_feeds(lazy_run, lazy=True)
+        compute_daily_metrics(lazy)
+        nonempty = sum(
+            1 for shard in lazy.mobility.shards if shard.num_rows
+        )
+        weeks = -(-lazy.mobility.num_days // WINDOW_DAYS)
+        counters = telemetry.snapshot()["counters"]
+        assert counters["store.windows_mapped"] == nonempty * weeks > 0
 
     def test_load_counts_digest_verifications(self, lazy_run, recorder):
         load_feeds(lazy_run, lazy=True)
